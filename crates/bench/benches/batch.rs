@@ -1,6 +1,6 @@
 //! Benchmarks the parallel batch executor: one full figure grid (six
-//! mechanisms, one seed, worst-case attacks) run through `Executor` at
-//! increasing worker counts. The `jobs=1` case is the sequential baseline;
+//! mechanisms, one seed, worst-case attacks) run through
+//! `Executor::run_sims_robust` at increasing worker counts. The `jobs=1` case is the sequential baseline;
 //! the ratio between it and the multi-worker runs is the batch speedup on
 //! this machine (≈ min(workers, cores, 6) on an idle multi-core box, ≈ 1×
 //! on a single-core CI runner — results are byte-identical either way).
@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use coop_attacks::AttackPlan;
-use coop_experiments::{Executor, Scale, SimJob};
+use coop_experiments::{Executor, Scale, SimJob, TelemetryOpts};
 
 fn bench_batch_speedup(c: &mut Criterion) {
     let jobs = SimJob::grid(Scale::Quick, &[7], |kind| {
@@ -23,7 +23,9 @@ fn bench_batch_speedup(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("jobs={workers}")),
             &executor,
-            |b, executor| b.iter(|| black_box(executor.run_sims(&jobs))),
+            |b, executor| {
+                b.iter(|| black_box(executor.run_sims_robust(&jobs, &TelemetryOpts::disabled())))
+            },
         );
     }
     group.finish();

@@ -134,20 +134,21 @@ fn point(x: f64, result: &coop_swarm::SimResult) -> SweepPoint {
 }
 
 /// Runs all ablations with machine-sized parallelism.
+///
+/// # Panics
+///
+/// Panics when any sweep point fails every attempt.
 pub fn run(scale: Scale, seed: u64) -> AblationReport {
-    run_with(scale, seed, &Executor::default())
+    try_run_with(scale, seed, &Executor::default()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs all ablations on the given executor. Each sweep's points are
 /// independent simulations, so they fan out as one batch per sweep;
 /// results (and the JSON artifact) are identical for any worker count.
-pub fn run_with(scale: Scale, seed: u64, executor: &Executor) -> AblationReport {
-    try_run_with(scale, seed, executor).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_with`] under the executor's panic-isolation/retry policy: a sweep
-/// point that fails every attempt yields `Err` naming its sweep, after
-/// every healthy point has still run. No artifact is written on failure.
+///
+/// Runs under the executor's panic-isolation/retry policy: a sweep point
+/// that fails every attempt yields `Err` naming its sweep, after every
+/// healthy point has still run. No artifact is written on failure.
 ///
 /// # Errors
 ///
@@ -219,9 +220,7 @@ pub fn try_run_with(
             let result = run_sim(
                 MechanismKind::Altruism,
                 scale,
-                Some(&AttackPlan::simple(f)),
-                None,
-                None,
+                Some(AttackPlan::simple(f)),
                 seed,
             );
             point(f, &result)
@@ -233,9 +232,7 @@ pub fn try_run_with(
             let result = run_sim(
                 MechanismKind::TChain,
                 scale,
-                Some(&AttackPlan::most_effective(MechanismKind::TChain, f)),
-                None,
-                None,
+                Some(AttackPlan::most_effective(MechanismKind::TChain, f)),
                 seed,
             );
             point(f, &result)
@@ -252,7 +249,7 @@ pub fn try_run_with(
         executor.try_map(&praise_plans, |_, &(x, ref plan)| {
             point(
                 x,
-                &run_sim(MechanismKind::Reputation, scale, Some(plan), None, None, seed),
+                &run_sim(MechanismKind::Reputation, scale, Some(*plan), seed),
             )
         }),
     );
@@ -263,7 +260,7 @@ pub fn try_run_with(
         executor.try_map(&[5u64, 10, 20, 40], |_, &w| {
             let mut plan = AttackPlan::simple(0.2);
             plan.whitewash_interval = Some(w);
-            let result = run_sim(MechanismKind::FairTorrent, scale, Some(&plan), None, None, seed);
+            let result = run_sim(MechanismKind::FairTorrent, scale, Some(plan), seed);
             point(w as f64, &result)
         }),
     );

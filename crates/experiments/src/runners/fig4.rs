@@ -94,91 +94,25 @@ impl SimFigureReport {
     }
 }
 
-/// Runs the figure's algorithm set — [`MechanismKind::EXTENDED`], the
-/// paper's six plus the epoch-settled variant — and collects the figure
-/// series (completion CDF, fairness-vs-time, bootstrap-vs-time,
-/// susceptibility-vs-time) as CSV artifacts named
+/// Runs one figure's algorithm set — [`MechanismKind::EXTENDED`] for the
+/// figure runners, a scenario's declared list for the sweep path — and
+/// collects the figure series (completion CDF, fairness-vs-time,
+/// bootstrap-vs-time, susceptibility-vs-time) as CSV artifacts named
 /// `{figure}{panel}_{algorithm}_{scale}.csv`.
 ///
 /// Execution is two-phase: the independent simulations fan out across
-/// `executor`'s workers, then every artifact is written sequentially from
-/// the slot-ordered results — so the report and all files on disk are
-/// byte-identical for any worker count.
-pub(crate) fn run_figure(
-    figure: &str,
-    scale: Scale,
-    seed: u64,
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-) -> SimFigureReport {
-    run_figure_traced(
-        figure,
-        scale,
-        seed,
-        plan_for,
-        executor,
-        &TelemetryOpts::disabled(),
-        &OutputDir::default_dir(),
-        "none",
-    )
-    .0
-}
-
-/// [`run_figure`] with telemetry: when `opts` enables it, each simulation
-/// runs with a recorder and the run's trace/progress/manifest outputs are
-/// emitted (see [`emit_run_outputs`]). Artifacts land in `out` either way
-/// and are byte-identical whether telemetry is on, off, or sampled.
-#[allow(clippy::too_many_arguments)] // one call site per figure, all distinct
-pub(crate) fn run_figure_traced(
-    figure: &str,
-    scale: Scale,
-    seed: u64,
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-    attack: &str,
-) -> (SimFigureReport, Option<BatchTrace>) {
-    try_run_figure_traced(figure, scale, seed, plan_for, executor, opts, out, attack)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_figure_traced`] under the executor's robustness policy: a job
-/// that fails every attempt yields `Err` instead of panicking, after every
-/// healthy job has still run (and been journaled). No figure artifacts are
-/// written on failure — the artifact set is all-or-nothing, so a resumed
-/// run can regenerate it byte-identically.
+/// `executor`'s workers under its robustness policy, then every artifact
+/// is written sequentially from the slot-ordered results — so the report
+/// and all files on disk are byte-identical for any worker count. When
+/// `opts` enables telemetry, each simulation runs with a recorder and the
+/// run's trace/progress/manifest outputs are emitted (see
+/// [`emit_run_outputs`]); artifacts are byte-identical whether telemetry
+/// is on, off, or sampled.
 ///
-/// # Errors
-///
-/// Returns the batch's failures when any job fails every attempt.
-#[allow(clippy::too_many_arguments)] // one call site per figure, all distinct
-pub(crate) fn try_run_figure_traced(
-    figure: &str,
-    scale: Scale,
-    seed: u64,
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-    attack: &str,
-) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-    try_run_figure_traced_for(
-        figure,
-        scale,
-        seed,
-        &MechanismKind::EXTENDED,
-        plan_for,
-        executor,
-        opts,
-        out,
-        attack,
-    )
-}
-
-/// [`try_run_figure_traced`] over an explicit mechanism list (the
-/// scenario-pack path restricts figures to their declared mechanisms; the
-/// figure runners pass [`MechanismKind::EXTENDED`]).
+/// A job that fails every attempt yields `Err`, after every healthy job
+/// has still run (and been journaled). No figure artifacts are written on
+/// failure — the artifact set is all-or-nothing, so a resumed run can
+/// regenerate it byte-identically.
 ///
 /// # Errors
 ///
@@ -266,10 +200,11 @@ pub(crate) fn emit_run_outputs(
     }
 }
 
-/// The sequential artifact phase of [`run_figure`]: renders one figure's
-/// report and writes its CSV/JSON/SVG artifacts from precomputed results
-/// (one per mechanism, in `kinds` order — [`MechanismKind::EXTENDED`] for
-/// the figure runners, a scenario's declared list for the sweep path).
+/// The sequential artifact phase of [`try_run_figure_traced_for`]:
+/// renders one figure's report and writes its CSV/JSON/SVG artifacts from
+/// precomputed results (one per mechanism, in `kinds` order —
+/// [`MechanismKind::EXTENDED`] for the figure runners, a scenario's
+/// declared list for the sweep path).
 pub(crate) fn write_figure_artifacts(
     figure: &str,
     scale: Scale,
@@ -421,33 +356,30 @@ pub(crate) fn write_figure_artifacts(
     report
 }
 
-/// Runs Fig. 4 (no free-riders) with machine-sized parallelism.
-pub fn run(scale: Scale, seed: u64) -> SimFigureReport {
-    run_with(scale, seed, &Executor::default())
-}
-
-/// Runs Fig. 4 (no free-riders) on the given executor.
-pub fn run_with(scale: Scale, seed: u64, executor: &Executor) -> SimFigureReport {
-    run_figure("fig4", scale, seed, |_| None, executor)
-}
-
-/// Runs Fig. 4 with explicit telemetry options and artifact directory.
+/// Runs Fig. 4 (no free-riders) with machine-sized parallelism and no
+/// telemetry, writing artifacts to the default output directory.
 ///
-/// The report and every artifact in `out` are byte-identical to
-/// [`run_with`]; telemetry only *adds* outputs (stderr progress, the
-/// optional `--trace-out` JSONL, and `manifest.json` in `out`).
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (SimFigureReport, Option<BatchTrace>) {
-    run_figure_traced("fig4", scale, seed, |_| None, executor, opts, out, "none")
+/// # Panics
+///
+/// Panics when any job fails every attempt.
+pub fn run(scale: Scale, seed: u64) -> SimFigureReport {
+    try_run_with_telemetry(
+        scale,
+        seed,
+        &Executor::default(),
+        &TelemetryOpts::disabled(),
+        &OutputDir::default_dir(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
 }
 
-/// [`run_with_telemetry`] returning batch failures as `Err` instead of
-/// panicking (the crash-safe CLI path).
+/// Runs Fig. 4 (no free-riders) with explicit telemetry options and
+/// artifact directory (the crash-safe CLI path).
+///
+/// The report and every artifact in `out` are identical whether telemetry
+/// is on or off; telemetry only *adds* outputs (stderr progress, the
+/// optional `--trace-out` JSONL, and `manifest.json` in `out`).
 ///
 /// # Errors
 ///
@@ -459,7 +391,7 @@ pub fn try_run_with_telemetry(
     opts: &TelemetryOpts,
     out: &OutputDir,
 ) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-    try_run_figure_traced("fig4", scale, seed, |_| None, executor, opts, out, "none")
+    try_run_with_telemetry_for(scale, seed, &MechanismKind::EXTENDED, executor, opts, out)
 }
 
 /// [`try_run_with_telemetry`] restricted to an explicit mechanism list —
@@ -583,50 +515,12 @@ impl ReplicatedReport {
 /// Aggregates a figure over several seeds.
 ///
 /// The full mechanism × seed grid fans out across `executor` in one batch
-/// (replicates are just more independent jobs); the per-seed artifact
-/// writes then replay sequentially in seed order, exactly as the
-/// sequential implementation would have produced them.
-pub(crate) fn replicate(
-    figure: &str,
-    scale: Scale,
-    seeds: &[u64],
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-) -> ReplicatedReport {
-    replicate_traced(
-        figure,
-        scale,
-        seeds,
-        plan_for,
-        executor,
-        &TelemetryOpts::disabled(),
-        &OutputDir::default_dir(),
-        "none",
-    )
-    .0
-}
-
-/// [`replicate`] with telemetry: the full mechanism × seed grid is traced
-/// as one batch, so the manifest and trace cover every replicate.
-#[allow(clippy::too_many_arguments)] // one call site per figure, all distinct
-pub(crate) fn replicate_traced(
-    figure: &str,
-    scale: Scale,
-    seeds: &[u64],
-    plan_for: impl Fn(MechanismKind) -> Option<AttackPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-    attack: &str,
-) -> (ReplicatedReport, Option<BatchTrace>) {
-    try_replicate_traced(figure, scale, seeds, plan_for, executor, opts, out, attack)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`replicate_traced`] under the executor's robustness policy. On
-/// failure, per-seed artifacts are still written for every seed whose
-/// jobs all succeeded (so a resume has less to redo), but the aggregate
-/// report is withheld and `Err` names every failed cell.
+/// (replicates are just more independent jobs), traced as one batch so the
+/// manifest and trace cover every replicate; the per-seed artifact writes
+/// then replay sequentially in seed order. On failure, per-seed artifacts
+/// are still written for every seed whose jobs all succeeded (so a resume
+/// has less to redo), but the aggregate report is withheld and `Err` names
+/// every failed cell.
 ///
 /// # Errors
 ///
@@ -730,30 +624,26 @@ pub(crate) fn try_replicate_traced(
     Ok((report, trace))
 }
 
-/// Runs Fig. 4 over several seeds and aggregates.
+/// Runs Fig. 4 over several seeds and aggregates, with machine-sized
+/// parallelism and no telemetry.
+///
+/// # Panics
+///
+/// Panics when any job fails every attempt.
 pub fn run_replicated(scale: Scale, seeds: &[u64]) -> ReplicatedReport {
-    run_replicated_with(scale, seeds, &Executor::default())
-}
-
-/// Runs Fig. 4 over several seeds on the given executor.
-pub fn run_replicated_with(scale: Scale, seeds: &[u64], executor: &Executor) -> ReplicatedReport {
-    replicate("fig4", scale, seeds, |_| None, executor)
+    try_run_replicated_with_telemetry(
+        scale,
+        seeds,
+        &Executor::default(),
+        &TelemetryOpts::disabled(),
+        &OutputDir::default_dir(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
 }
 
 /// Runs replicated Fig. 4 with explicit telemetry options and artifact
-/// directory; see [`run_with_telemetry`] for the guarantees.
-pub fn run_replicated_with_telemetry(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (ReplicatedReport, Option<BatchTrace>) {
-    replicate_traced("fig4", scale, seeds, |_| None, executor, opts, out, "none")
-}
-
-/// [`run_replicated_with_telemetry`] returning batch failures as `Err`
-/// instead of panicking (the crash-safe CLI path).
+/// directory; see [`try_run_with_telemetry`] for the guarantees.
 ///
 /// # Errors
 ///

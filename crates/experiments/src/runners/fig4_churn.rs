@@ -120,7 +120,7 @@ impl ChurnReport {
 
 /// Runs the churn sweep with machine-sized parallelism and no telemetry.
 pub fn run(scale: Scale, seed: u64) -> ChurnReport {
-    run_with_telemetry(
+    try_run_with_telemetry(
         scale,
         seed,
         None,
@@ -128,6 +128,7 @@ pub fn run(scale: Scale, seed: u64) -> ChurnReport {
         &TelemetryOpts::disabled(),
         &OutputDir::default_dir(),
     )
+    .unwrap_or_else(|e| panic!("{e}"))
     .0
 }
 
@@ -142,19 +143,6 @@ pub fn run(scale: Scale, seed: u64) -> ChurnReport {
 /// sequentially from slot-ordered results (byte-identical for any worker
 /// count). With telemetry on, the batch manifest carries the
 /// `swarm.fault.*` counters summed over the whole sweep.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    base: Option<FaultPlan>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (ChurnReport, Option<BatchTrace>) {
-    run_sweep(scale, seed, base, &MULTIPLIERS, executor, opts, out)
-}
-
-/// [`run_with_telemetry`] returning batch failures as `Err` instead of
-/// panicking (the crash-safe CLI path).
 ///
 /// # Errors
 ///
@@ -170,24 +158,10 @@ pub fn try_run_with_telemetry(
     try_run_sweep(scale, seed, base, &MULTIPLIERS, executor, opts, out)
 }
 
-/// [`run_with_telemetry`] with an explicit multiplier list (tests and the
-/// CI smoke job use a shorter sweep).
-pub fn run_sweep(
-    scale: Scale,
-    seed: u64,
-    base: Option<FaultPlan>,
-    multipliers: &[f64],
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (ChurnReport, Option<BatchTrace>) {
-    try_run_sweep(scale, seed, base, multipliers, executor, opts, out)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_sweep`] under the executor's robustness policy: a cell that fails
-/// every attempt yields `Err` naming it, after every healthy cell has
-/// still run (and been journaled). No sweep artifacts are written on
+/// [`try_run_with_telemetry`] with an explicit multiplier list (tests use
+/// a shorter sweep), under the executor's robustness policy: a cell that
+/// fails every attempt yields `Err` naming it, after every healthy cell
+/// has still run (and been journaled). No sweep artifacts are written on
 /// failure.
 ///
 /// # Errors
@@ -317,7 +291,7 @@ mod tests {
     #[test]
     fn churn_sweep_baseline_matches_fig4_and_churn_degrades_completion() {
         let executor = Executor::default();
-        let (report, trace) = run_sweep(
+        let (report, trace) = try_run_sweep(
             Scale::Quick,
             33,
             Some(FaultPlan::churn(0.02)),
@@ -325,12 +299,20 @@ mod tests {
             &executor,
             &TelemetryOpts::disabled(),
             &OutputDir::default_dir(),
-        );
+        )
+        .expect("every cell runs");
         assert!(trace.is_none());
         assert_eq!(report.rows.len(), 2 * MechanismKind::ALL.len());
 
         // The multiplier-0 rows are exactly the fault-free Fig. 4 runs.
-        let fig4 = super::super::fig4::run_with(Scale::Quick, 33, &executor);
+        let (fig4, _) = super::super::fig4::try_run_with_telemetry(
+            Scale::Quick,
+            33,
+            &executor,
+            &TelemetryOpts::disabled(),
+            &OutputDir::default_dir(),
+        )
+        .expect("every cell runs");
         for kind in MechanismKind::ALL {
             let base = report.get(0.0, kind);
             let reference = fig4.get(kind);

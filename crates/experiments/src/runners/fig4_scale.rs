@@ -16,10 +16,9 @@
 //!
 //! Memory caveat: `peak_rss_kb` is the process-wide `VmHWM` high-water
 //! mark, which only ever grows — across a sweep it is nondecreasing in
-//! completion order and says nothing about an individual cell. The
-//! `rss_delta_kb` column reports how much each cell raised that mark
-//! instead; see [`PerfRow::rss_delta_kb`] for its own caveat under
-//! parallel execution.
+//! completion order and says nothing about an individual cell. A cell's
+//! own peak RSS needs a process of its own (the benchmark in `perfbench/`
+//! measures it that way).
 
 use coop_des::Duration;
 use coop_incentives::analysis::capacity::CapacityClassMix;
@@ -96,12 +95,6 @@ pub struct PerfRow {
     /// in completion order and does **not** measure the cell itself; 0
     /// when `/proc` is unavailable.
     pub peak_rss_kb: u64,
-    /// How much this cell raised the process high-water mark (kB): the
-    /// `VmHWM` delta across the cell. Only the cells that push the peak
-    /// show a non-zero delta, and concurrent cells (`--jobs > 1`) can
-    /// attribute a shared push to whichever cell sampled last — read it
-    /// as "which cells grew the footprint", not as per-cell usage.
-    pub rss_delta_kb: u64,
 }
 
 /// The deterministic half of the sweep report.
@@ -184,7 +177,6 @@ impl ScalePerfReport {
             "wall (ms)",
             "rounds/sec",
             "peak RSS (kB)",
-            "ΔRSS (kB)",
         ]);
         for r in &self.rows {
             t.row(vec![
@@ -194,7 +186,6 @@ impl ScalePerfReport {
                 r.wall_ms.to_string(),
                 format!("{:.1}", r.rounds_per_sec),
                 r.peak_rss_kb.to_string(),
-                r.rss_delta_kb.to_string(),
             ]);
         }
         format!(
@@ -206,8 +197,9 @@ impl ScalePerfReport {
     }
 }
 
-/// The process's peak resident set (`VmHWM`) in kB, or 0 when
-/// `/proc/self/status` is unavailable.
+/// The process-wide peak resident set (`VmHWM`, the high-water mark over
+/// the process's whole lifetime — not any one cell's usage) in kB, or 0
+/// when `/proc/self/status` is unavailable.
 pub(crate) fn peak_rss_kb() -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
@@ -222,14 +214,15 @@ pub(crate) fn peak_rss_kb() -> u64 {
 
 /// Runs the default sweep with machine-sized parallelism and no telemetry.
 pub fn run(scale: Scale, seed: u64) -> (ScaleReport, ScalePerfReport) {
-    let (report, perf, _) = run_with_telemetry(
+    let (report, perf, _) = try_run_with_telemetry(
         scale,
         seed,
         None,
         &Executor::default(),
         &TelemetryOpts::disabled(),
         &OutputDir::default_dir(),
-    );
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     (report, perf)
 }
 
@@ -238,21 +231,10 @@ pub fn run(scale: Scale, seed: u64) -> (ScaleReport, ScalePerfReport) {
 /// Cells fan out across `executor`; the deterministic artifacts are
 /// written sequentially from slot-ordered results (byte-identical for any
 /// worker count), the perf artifacts carry the wall-clock columns.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    peers: Option<&[usize]>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (ScaleReport, ScalePerfReport, Option<BatchTrace>) {
-    try_run_with_telemetry(scale, seed, peers, executor, opts, out)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_with_telemetry`] with per-cell panic isolation: a cell that fails
-/// every attempt yields `Err` naming the (mechanism, N, seed) cell, after
-/// every healthy cell has still run. No artifacts are written on failure.
+///
+/// Each cell runs under per-cell panic isolation: a cell that fails every
+/// attempt yields `Err` naming the (mechanism, N, seed) cell, after every
+/// healthy cell has still run. No artifacts are written on failure.
 ///
 /// # Errors
 ///
@@ -275,7 +257,6 @@ pub fn try_run_with_telemetry(
     let sim_clock = Stopwatch::start();
     let runs = executor.try_map(&cells, |slot, &(n, kind)| {
         let cell_clock = Stopwatch::start();
-        let rss_before_kb = peak_rss_kb();
         let recorder = match &recorder_config {
             Some(config) => Recorder::enabled(config.clone()),
             None => Recorder::disabled(),
@@ -312,14 +293,7 @@ pub fn try_run_with_telemetry(
             report,
             profile: opts.profile_due(slot).then_some(profile),
         };
-        let rss_after_kb = peak_rss_kb();
-        (
-            result,
-            wall_ms,
-            rss_after_kb,
-            rss_after_kb.saturating_sub(rss_before_kb),
-            trace,
-        )
+        (result, wall_ms, peak_rss_kb(), trace)
     });
     let sim_ms = sim_clock.elapsed_ms();
     let write_clock = Stopwatch::start();
@@ -355,8 +329,7 @@ pub fn try_run_with_telemetry(
     let mut perf_rows = Vec::with_capacity(runs.len());
     let mut traces = Vec::with_capacity(runs.len());
     for (&(n, kind), run) in cells.iter().zip(runs) {
-        let (result, wall_ms, rss_kb, rss_delta_kb, trace) =
-            run.expect("failures were returned above");
+        let (result, wall_ms, rss_kb, trace) = run.expect("failures were returned above");
         rows.push(ScaleRow {
             peers: n,
             algorithm: kind.name().to_string(),
@@ -373,7 +346,6 @@ pub fn try_run_with_telemetry(
             wall_ms,
             rounds_per_sec: result.rounds_run as f64 * 1000.0 / wall_ms.max(1) as f64,
             peak_rss_kb: rss_kb,
-            rss_delta_kb,
         });
         traces.push(trace);
     }
@@ -433,7 +405,6 @@ pub fn try_run_with_telemetry(
                 r.wall_ms.to_string(),
                 format!("{}", r.rounds_per_sec),
                 r.peak_rss_kb.to_string(),
-                r.rss_delta_kb.to_string(),
             ]
         })
         .collect();
@@ -446,7 +417,6 @@ pub fn try_run_with_telemetry(
             "wall_ms",
             "rounds_per_sec",
             "peak_rss_kb",
-            "rss_delta_kb",
         ],
         &perf_csv,
     );
@@ -489,7 +459,7 @@ mod tests {
         let out = tmp();
         let opts = TelemetryOpts::disabled();
         let run = |jobs: usize| {
-            run_with_telemetry(
+            try_run_with_telemetry(
                 Scale::Quick,
                 11,
                 Some(&[10, 14]),
@@ -497,6 +467,7 @@ mod tests {
                 &opts,
                 &out,
             )
+            .expect("every cell runs")
         };
         let (seq, perf, trace) = run(1);
         assert!(trace.is_none());
@@ -515,43 +486,6 @@ mod tests {
         assert_eq!(seq.rows, par.rows);
         assert!(seq.render().contains("fig4-scale"));
         assert!(ScalePerfReport::render(&perf).contains("rounds/sec"));
-    }
-
-    #[test]
-    fn rss_delta_column_is_not_the_high_water_mark() {
-        // `peak_rss_kb` is the process-wide VmHWM, nondecreasing in
-        // completion order by construction. The `rss_delta_kb` column
-        // must not inherit that shape: a cell that fails to push the
-        // mark reports 0, however high the mark already sits. Running a
-        // larger population first makes the later small cells provably
-        // non-pushing, so the delta column cannot be a copy of the
-        // cumulative peak column.
-        let out = tmp();
-        let (_, perf, _) = run_with_telemetry(
-            Scale::Quick,
-            13,
-            Some(&[120, 10]),
-            &Executor::sequential(),
-            &TelemetryOpts::disabled(),
-            &out,
-        );
-        if !cfg!(target_os = "linux") {
-            return; // no /proc — both columns degrade to 0
-        }
-        assert!(
-            perf.rows.windows(2).all(|w| w[0].peak_rss_kb <= w[1].peak_rss_kb),
-            "VmHWM stays nondecreasing in completion order"
-        );
-        assert!(
-            perf.rows
-                .iter()
-                .any(|r| r.rss_delta_kb == 0 && r.peak_rss_kb > 0),
-            "some cell left the high-water mark untouched yet the mark is positive: \
-             the delta column decouples from the cumulative peak"
-        );
-        let deltas: Vec<u64> = perf.rows.iter().map(|r| r.rss_delta_kb).collect();
-        let peaks: Vec<u64> = perf.rows.iter().map(|r| r.peak_rss_kb).collect();
-        assert_ne!(deltas, peaks, "delta column must not mirror the peak column");
     }
 
     #[test]

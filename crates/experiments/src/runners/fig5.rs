@@ -4,10 +4,11 @@
 //! FairTorrent.
 
 use coop_attacks::AttackPlan;
+use coop_incentives::MechanismKind;
 
 use crate::exec::{BatchError, Executor};
 use crate::runners::fig4::{
-    run_figure, run_figure_traced, try_replicate_traced, try_run_figure_traced, SimFigureReport,
+    try_replicate_traced, try_run_figure_traced_for, ReplicatedReport, SimFigureReport,
 };
 use crate::telemetry::{BatchTrace, TelemetryOpts};
 use crate::{OutputDir, Scale};
@@ -18,46 +19,33 @@ pub const FREERIDER_FRACTION: f64 = 0.2;
 /// The attack label Fig. 5 runs carry in their telemetry manifest.
 pub(crate) const ATTACK_LABEL: &str = "most-effective-per-mechanism (20% free-riders)";
 
-/// Runs Fig. 5 with machine-sized parallelism.
+/// The attack each mechanism faces in Fig. 5.
+fn plan(kind: MechanismKind) -> Option<AttackPlan> {
+    Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION))
+}
+
+/// Runs Fig. 5 with machine-sized parallelism and no telemetry,
+/// writing artifacts to the default output directory.
+///
+/// # Panics
+///
+/// Panics when any job fails every attempt.
 pub fn run(scale: Scale, seed: u64) -> SimFigureReport {
-    run_with(scale, seed, &Executor::default())
-}
-
-/// Runs Fig. 5 on the given executor.
-pub fn run_with(scale: Scale, seed: u64, executor: &Executor) -> SimFigureReport {
-    run_figure(
-        "fig5",
+    try_run_with_telemetry(
         scale,
         seed,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
+        &Executor::default(),
+        &TelemetryOpts::disabled(),
+        &OutputDir::default_dir(),
     )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
 }
 
-/// Runs Fig. 5 with explicit telemetry options and artifact directory;
-/// see [`fig4::run_with_telemetry`](crate::runners::fig4::run_with_telemetry)
+/// Runs Fig. 5 with explicit telemetry options and artifact
+/// directory (the crash-safe CLI path); see
+/// [`fig4::try_run_with_telemetry`](crate::runners::fig4::try_run_with_telemetry)
 /// for the guarantees.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (SimFigureReport, Option<BatchTrace>) {
-    run_figure_traced(
-        "fig5",
-        scale,
-        seed,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
-}
-
-/// [`run_with_telemetry`] returning batch failures as `Err` instead of
-/// panicking (the crash-safe CLI path).
 ///
 /// # Errors
 ///
@@ -69,11 +57,12 @@ pub fn try_run_with_telemetry(
     opts: &TelemetryOpts,
     out: &OutputDir,
 ) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-    try_run_figure_traced(
+    try_run_figure_traced_for(
         "fig5",
         scale,
         seed,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
+        &MechanismKind::EXTENDED,
+        plan,
         executor,
         opts,
         out,
@@ -81,49 +70,26 @@ pub fn try_run_with_telemetry(
     )
 }
 
-/// Runs Fig. 5 over several seeds and aggregates.
-pub fn run_replicated(scale: Scale, seeds: &[u64]) -> crate::runners::fig4::ReplicatedReport {
-    run_replicated_with(scale, seeds, &Executor::default())
-}
-
-/// Runs Fig. 5 over several seeds on the given executor.
-pub fn run_replicated_with(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-) -> crate::runners::fig4::ReplicatedReport {
-    crate::runners::fig4::replicate(
-        "fig5",
+/// Runs Fig. 5 over several seeds and aggregates, with
+/// machine-sized parallelism and no telemetry.
+///
+/// # Panics
+///
+/// Panics when any job fails every attempt.
+pub fn run_replicated(scale: Scale, seeds: &[u64]) -> ReplicatedReport {
+    try_run_replicated_with_telemetry(
         scale,
         seeds,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
+        &Executor::default(),
+        &TelemetryOpts::disabled(),
+        &OutputDir::default_dir(),
     )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
 }
 
-/// Runs replicated Fig. 5 with explicit telemetry options and artifact
-/// directory.
-pub fn run_replicated_with_telemetry(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (crate::runners::fig4::ReplicatedReport, Option<BatchTrace>) {
-    crate::runners::fig4::replicate_traced(
-        "fig5",
-        scale,
-        seeds,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
-}
-
-/// [`run_replicated_with_telemetry`] returning batch failures as `Err`
-/// instead of panicking (the crash-safe CLI path).
+/// Runs replicated Fig. 5 with explicit telemetry options and
+/// artifact directory (the crash-safe CLI path).
 ///
 /// # Errors
 ///
@@ -134,17 +100,8 @@ pub fn try_run_replicated_with_telemetry(
     executor: &Executor,
     opts: &TelemetryOpts,
     out: &OutputDir,
-) -> Result<(crate::runners::fig4::ReplicatedReport, Option<BatchTrace>), BatchError> {
-    try_replicate_traced(
-        "fig5",
-        scale,
-        seeds,
-        |kind| Some(AttackPlan::most_effective(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
+) -> Result<(ReplicatedReport, Option<BatchTrace>), BatchError> {
+    try_replicate_traced("fig5", scale, seeds, plan, executor, opts, out, ATTACK_LABEL)
 }
 
 #[cfg(test)]

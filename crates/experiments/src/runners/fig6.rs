@@ -3,10 +3,11 @@
 //! and optimistic-unchoke bandwidth.
 
 use coop_attacks::AttackPlan;
+use coop_incentives::MechanismKind;
 
 use crate::exec::{BatchError, Executor};
 use crate::runners::fig4::{
-    run_figure, run_figure_traced, try_replicate_traced, try_run_figure_traced, SimFigureReport,
+    try_replicate_traced, try_run_figure_traced_for, ReplicatedReport, SimFigureReport,
 };
 use crate::runners::fig5::FREERIDER_FRACTION;
 use crate::telemetry::{BatchTrace, TelemetryOpts};
@@ -16,46 +17,33 @@ use crate::{OutputDir, Scale};
 pub(crate) const ATTACK_LABEL: &str =
     "most-effective-per-mechanism + large-view (20% free-riders)";
 
-/// Runs Fig. 6 with machine-sized parallelism.
+/// The attack each mechanism faces in Fig. 6.
+fn plan(kind: MechanismKind) -> Option<AttackPlan> {
+    Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION))
+}
+
+/// Runs Fig. 6 with machine-sized parallelism and no telemetry,
+/// writing artifacts to the default output directory.
+///
+/// # Panics
+///
+/// Panics when any job fails every attempt.
 pub fn run(scale: Scale, seed: u64) -> SimFigureReport {
-    run_with(scale, seed, &Executor::default())
-}
-
-/// Runs Fig. 6 on the given executor.
-pub fn run_with(scale: Scale, seed: u64, executor: &Executor) -> SimFigureReport {
-    run_figure(
-        "fig6",
+    try_run_with_telemetry(
         scale,
         seed,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
+        &Executor::default(),
+        &TelemetryOpts::disabled(),
+        &OutputDir::default_dir(),
     )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
 }
 
-/// Runs Fig. 6 with explicit telemetry options and artifact directory;
-/// see [`fig4::run_with_telemetry`](crate::runners::fig4::run_with_telemetry)
+/// Runs Fig. 6 with explicit telemetry options and artifact
+/// directory (the crash-safe CLI path); see
+/// [`fig4::try_run_with_telemetry`](crate::runners::fig4::try_run_with_telemetry)
 /// for the guarantees.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (SimFigureReport, Option<BatchTrace>) {
-    run_figure_traced(
-        "fig6",
-        scale,
-        seed,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
-}
-
-/// [`run_with_telemetry`] returning batch failures as `Err` instead of
-/// panicking (the crash-safe CLI path).
 ///
 /// # Errors
 ///
@@ -67,11 +55,12 @@ pub fn try_run_with_telemetry(
     opts: &TelemetryOpts,
     out: &OutputDir,
 ) -> Result<(SimFigureReport, Option<BatchTrace>), BatchError> {
-    try_run_figure_traced(
+    try_run_figure_traced_for(
         "fig6",
         scale,
         seed,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
+        &MechanismKind::EXTENDED,
+        plan,
         executor,
         opts,
         out,
@@ -79,49 +68,26 @@ pub fn try_run_with_telemetry(
     )
 }
 
-/// Runs Fig. 6 over several seeds and aggregates.
-pub fn run_replicated(scale: Scale, seeds: &[u64]) -> crate::runners::fig4::ReplicatedReport {
-    run_replicated_with(scale, seeds, &Executor::default())
-}
-
-/// Runs Fig. 6 over several seeds on the given executor.
-pub fn run_replicated_with(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-) -> crate::runners::fig4::ReplicatedReport {
-    crate::runners::fig4::replicate(
-        "fig6",
+/// Runs Fig. 6 over several seeds and aggregates, with
+/// machine-sized parallelism and no telemetry.
+///
+/// # Panics
+///
+/// Panics when any job fails every attempt.
+pub fn run_replicated(scale: Scale, seeds: &[u64]) -> ReplicatedReport {
+    try_run_replicated_with_telemetry(
         scale,
         seeds,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
+        &Executor::default(),
+        &TelemetryOpts::disabled(),
+        &OutputDir::default_dir(),
     )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
 }
 
-/// Runs replicated Fig. 6 with explicit telemetry options and artifact
-/// directory.
-pub fn run_replicated_with_telemetry(
-    scale: Scale,
-    seeds: &[u64],
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (crate::runners::fig4::ReplicatedReport, Option<BatchTrace>) {
-    crate::runners::fig4::replicate_traced(
-        "fig6",
-        scale,
-        seeds,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
-}
-
-/// [`run_replicated_with_telemetry`] returning batch failures as `Err`
-/// instead of panicking (the crash-safe CLI path).
+/// Runs replicated Fig. 6 with explicit telemetry options and
+/// artifact directory (the crash-safe CLI path).
 ///
 /// # Errors
 ///
@@ -132,17 +98,8 @@ pub fn try_run_replicated_with_telemetry(
     executor: &Executor,
     opts: &TelemetryOpts,
     out: &OutputDir,
-) -> Result<(crate::runners::fig4::ReplicatedReport, Option<BatchTrace>), BatchError> {
-    try_replicate_traced(
-        "fig6",
-        scale,
-        seeds,
-        |kind| Some(AttackPlan::with_large_view(kind, FREERIDER_FRACTION)),
-        executor,
-        opts,
-        out,
-        ATTACK_LABEL,
-    )
+) -> Result<(ReplicatedReport, Option<BatchTrace>), BatchError> {
+    try_replicate_traced("fig6", scale, seeds, plan, executor, opts, out, ATTACK_LABEL)
 }
 
 #[cfg(test)]

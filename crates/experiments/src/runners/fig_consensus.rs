@@ -203,7 +203,7 @@ impl Cell {
 
 /// Runs the default sweep with machine-sized parallelism and no telemetry.
 pub fn run(scale: Scale, seed: u64) -> ConsensusReport {
-    let (report, _) = run_with_telemetry(
+    try_run_with_telemetry(
         scale,
         seed,
         None,
@@ -211,8 +211,9 @@ pub fn run(scale: Scale, seed: u64) -> ConsensusReport {
         &Executor::default(),
         &TelemetryOpts::disabled(),
         &OutputDir::default_dir(),
-    );
-    report
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
 }
 
 /// Runs the defense sweep: every [`POLICIES`] entry at every rung of
@@ -221,22 +222,10 @@ pub fn run(scale: Scale, seed: u64) -> ConsensusReport {
 /// flag; the ISSUE-scale run uses 10 000). Cells fan out across
 /// `executor`; artifacts are written sequentially from slot-ordered
 /// results, so they are byte-identical for any worker count.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    peers: Option<usize>,
-    fractions: Option<&[f64]>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (ConsensusReport, Option<BatchTrace>) {
-    try_run_with_telemetry(scale, seed, peers, fractions, executor, opts, out)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_with_telemetry`] with per-cell panic isolation: a cell that
-/// fails every attempt yields `Err` naming it, after every healthy cell
-/// has still run. No artifacts are written on failure.
+///
+/// Each cell runs under per-cell panic isolation: a cell that fails every
+/// attempt yields `Err` naming it, after every healthy cell has still
+/// run. No artifacts are written on failure.
 ///
 /// # Errors
 ///
@@ -465,7 +454,7 @@ mod tests {
         let out = tmp();
         let opts = TelemetryOpts::disabled();
         let run = |jobs: usize| {
-            run_with_telemetry(
+            try_run_with_telemetry(
                 Scale::Quick,
                 17,
                 None,
@@ -474,6 +463,7 @@ mod tests {
                 &opts,
                 &out,
             )
+            .expect("every cell runs")
         };
         let (seq, trace) = run(1);
         assert!(trace.is_none());

@@ -153,15 +153,16 @@ impl Cell {
 
 /// Runs the default sweep with machine-sized parallelism and no telemetry.
 pub fn run(scale: Scale, seed: u64) -> EpochReport {
-    let (report, _) = run_with_telemetry(
+    try_run_with_telemetry(
         scale,
         seed,
         None,
         &Executor::default(),
         &TelemetryOpts::disabled(),
         &OutputDir::default_dir(),
-    );
-    report
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
 }
 
 /// Runs the cadence sweep: the six baselines plus the epoch-settled
@@ -169,21 +170,10 @@ pub fn run(scale: Scale, seed: u64) -> EpochReport {
 /// under a [`ATTACK_FRACTION`] free-ride attack. Cells fan out across
 /// `executor`; artifacts are written sequentially from slot-ordered
 /// results, so they are byte-identical for any worker count.
-pub fn run_with_telemetry(
-    scale: Scale,
-    seed: u64,
-    epochs: Option<&[u64]>,
-    executor: &Executor,
-    opts: &TelemetryOpts,
-    out: &OutputDir,
-) -> (EpochReport, Option<BatchTrace>) {
-    try_run_with_telemetry(scale, seed, epochs, executor, opts, out)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_with_telemetry`] with per-cell panic isolation: a cell that
-/// fails every attempt yields `Err` naming it, after every healthy cell
-/// has still run. No artifacts are written on failure.
+///
+/// Each cell runs under per-cell panic isolation: a cell that fails every
+/// attempt yields `Err` naming it, after every healthy cell has still
+/// run. No artifacts are written on failure.
 ///
 /// # Errors
 ///
@@ -386,7 +376,7 @@ mod tests {
         let out = tmp();
         let opts = TelemetryOpts::disabled();
         let run = |jobs: usize| {
-            run_with_telemetry(
+            try_run_with_telemetry(
                 Scale::Quick,
                 17,
                 Some(&[1, 64]),
@@ -394,6 +384,7 @@ mod tests {
                 &opts,
                 &out,
             )
+            .expect("every cell runs")
         };
         let (seq, trace) = run(1);
         assert!(trace.is_none());

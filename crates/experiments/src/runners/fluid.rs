@@ -105,7 +105,7 @@ pub fn run(scale: Scale, seed: u64) -> FluidReport {
                 &traj,
             );
             chart.push_series(crate::plot::Series::new(kind.name(), traj.clone()));
-            let sim = run_sim(kind, scale, None, None, None, seed);
+            let sim = run_sim(kind, scale, None, seed);
             FluidRow {
                 algorithm: kind.name().to_string(),
                 eta: effectiveness(kind, &dist, n, 0.2),

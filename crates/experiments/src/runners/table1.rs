@@ -118,7 +118,7 @@ pub fn run(scale: Scale, seed: u64) -> Table1Report {
 
             // Measured side: usable download rate of each completed
             // compliant peer (bytes received / time to completion).
-            let sim = run_sim(kind, scale, None, None, None, seed);
+            let sim = run_sim(kind, scale, None, seed);
             let mut rates: Vec<(f64, f64)> = Vec::new(); // (capacity, rate)
             for p in sim.compliant() {
                 if let Some(ct) = p.completion_s {

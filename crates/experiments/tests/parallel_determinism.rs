@@ -3,7 +3,7 @@
 //! results to running the same grid sequentially, in the same order.
 
 use coop_attacks::AttackPlan;
-use coop_experiments::{Executor, Scale, SimJob};
+use coop_experiments::{Executor, Scale, SimJob, TelemetryOpts};
 use coop_incentives::MechanismKind;
 
 #[test]
@@ -17,8 +17,16 @@ fn parallel_batches_match_sequential_byte_for_byte() {
     });
     assert_eq!(jobs.len(), MechanismKind::EXTENDED.len());
 
-    let sequential = Executor::sequential().run_sims(&jobs);
-    let parallel = Executor::new(4).run_sims(&jobs);
+    let sequential = Executor::sequential()
+        .run_sims_robust(&jobs, &TelemetryOpts::disabled())
+        .into_complete("grid")
+        .expect("every job runs")
+        .0;
+    let parallel = Executor::new(4)
+        .run_sims_robust(&jobs, &TelemetryOpts::disabled())
+        .into_complete("grid")
+        .expect("every job runs")
+        .0;
 
     assert_eq!(sequential.len(), parallel.len());
     for ((kind, seq), par) in MechanismKind::EXTENDED.iter().zip(&sequential).zip(&parallel) {

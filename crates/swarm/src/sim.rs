@@ -14,8 +14,7 @@ use coop_des::rng::SeedTree;
 use coop_des::{Engine, RoundDriver, SimTime};
 use coop_telemetry::profile::phase;
 use coop_telemetry::{
-    Category, Histogram, PhaseToken, ProfileReport, Profiler, Recorder, Sampling, TelemetryConfig,
-    TelemetryReport, TraceEvent,
+    Category, Histogram, PhaseToken, ProfileReport, Profiler, Recorder, TelemetryReport, TraceEvent,
 };
 use coop_incentives::ledger::{ReportedReputation, ReputationTable};
 use coop_incentives::metrics::TimeSeries;
@@ -30,7 +29,7 @@ use rand::seq::SliceRandom;
 use rand::RngCore;
 
 use crate::checkpoint::{CheckpointError, CheckpointLog, CheckpointState, SimCheckpoint};
-use crate::config::{ConfigError, PeerSpec, PieceStrategy, SwarmConfig};
+use crate::config::{PeerSpec, PieceStrategy, SwarmConfig};
 use crate::consensus::{self, ConsensusState, SlotBehavior};
 use crate::dirty::{DirtySet, VisitBits};
 use crate::faults::{FaultKind, FaultSchedule};
@@ -59,27 +58,6 @@ fn at_epoch_boundary(mech: &dyn Mechanism, finished_rounds: u64) -> bool {
 pub(crate) enum Event {
     Arrival(usize),
     RoundTick,
-}
-
-/// Which allocation-loop strategy the round loop runs. All strategies
-/// produce identical [`SimResult`]s (pinned by the three-way
-/// `hotpath_equivalence` battery); they differ only in how much work a
-/// round costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoundLoop {
-    /// Visit every online peer every round, served by the incremental
-    /// indexes (availability histogram, CSR adjacency, SoA membership).
-    /// Retained as the second equivalence oracle beside the
-    /// `hotpath-oracle` naive loop.
-    Indexed,
-    /// Event-driven: visit only the peers marked dirty since last round
-    /// plus their CSR-adjacent candidates (and, live-checked, peers with
-    /// outstanding obligations or outgoing partial transfers). Skipped
-    /// peers are provably no-ops: every built-in mechanism returns no
-    /// grants, draws no RNG, and mutates nothing when none of its
-    /// candidates is interested and no obligations are pending.
-    #[default]
-    Dirty,
 }
 
 /// One simulation run.
@@ -137,9 +115,6 @@ pub struct Simulation {
     /// The `hotpath_equivalence` battery and the `scale` bench flip this
     /// on as the oracle/baseline; results must be identical either way.
     pub(crate) naive_hotpath: bool,
-    /// The allocation-loop strategy ([`RoundLoop::Dirty`] by default;
-    /// `naive_hotpath` overrides both indexed strategies entirely).
-    round_loop: RoundLoop,
     /// Worker threads sharding one round's read-only scans (1 = all on
     /// the caller's thread). Observational for results: artifacts are
     /// byte-identical for any value.
@@ -233,26 +208,6 @@ impl Simulation {
         crate::SimulationBuilder::new(config)
     }
 
-    /// Builds a simulation from a configuration and a population.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if the configuration is invalid or the
-    /// population fails the builder's eager checks.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Simulation::builder(config).population(...).build()"
-    )]
-    pub fn new(config: SwarmConfig, population: Vec<PeerSpec>) -> Result<Self, ConfigError> {
-        Simulation::builder(config)
-            .population(population)
-            .build()
-            .map_err(|e| match e {
-                crate::BuildError::Config(e) => e,
-                other => ConfigError::new(other.to_string()),
-            })
-    }
-
     /// Assembles the simulation from already-validated parts (the
     /// builder's final step).
     pub(crate) fn assemble(
@@ -261,28 +216,6 @@ impl Simulation {
         recorder: Recorder,
         faults: FaultSchedule,
     ) -> Self {
-        // `COOP_SWARM_DEBUG` is shorthand for "stream end-of-run state
-        // dumps to stderr": when set and no recorder was supplied, spin up
-        // one that keeps only `final`-category events and writes them as
-        // JSONL to stderr (the structured successor of the old ad-hoc
-        // eprintln dumps).
-        let recorder = if !recorder.is_enabled() && std::env::var_os("COOP_SWARM_DEBUG").is_some()
-        {
-            let sampling = Category::ALL
-                .iter()
-                .fold(Sampling::keep_all(), |s, &c| s.every(c, 0))
-                .every(Category::Final, 1);
-            let mut r = Recorder::enabled(TelemetryConfig {
-                probe_every: u64::MAX,
-                ring_capacity: 0,
-                sampling,
-            });
-            r.set_capture(false);
-            r.add_sink(Box::new(coop_telemetry::StderrSink));
-            r
-        } else {
-            recorder
-        };
         let num_pieces = config.file.num_pieces();
         let rounds = RoundDriver::new(config.round);
         let mut engine = Engine::new();
@@ -323,7 +256,6 @@ impl Simulation {
             open_active: 0,
             compliant_completed: 0,
             naive_hotpath: false,
-            round_loop: RoundLoop::Dirty,
             shards: 1,
             dirty: DirtySet::new(),
             visit: VisitBits::default(),
@@ -368,11 +300,6 @@ impl Simulation {
         self.profiler = profiler;
     }
 
-    /// Selects the allocation-loop strategy (builder plumbing).
-    pub(crate) fn set_round_loop(&mut self, round_loop: RoundLoop) {
-        self.round_loop = round_loop;
-    }
-
     /// Sets the intra-sim shard count (builder plumbing).
     pub(crate) fn set_shards(&mut self, k: usize) {
         self.shards = k.max(1);
@@ -381,7 +308,7 @@ impl Simulation {
     /// Is the dirty-set visit filter live? The naive oracle bypasses
     /// every index, including this one.
     fn dirty_active(&self) -> bool {
-        self.round_loop == RoundLoop::Dirty && !self.naive_hotpath
+        !self.naive_hotpath
     }
 
     /// Marks a peer's allocation-relevant state changed: it (and its
@@ -1039,7 +966,9 @@ impl Simulation {
         // bits and obligation flags — never pre-applied to `order` —
         // because a delivery earlier in the shuffled order can make a
         // later peer interested (or obliged) within the same round.
-        // Skipped peers are provably no-ops (see [`RoundLoop::Dirty`]), so
+        // Skipped peers are provably no-ops: every built-in mechanism
+        // returns no grants, draws no RNG, and mutates nothing when none of
+        // its candidates is interested and no obligations are pending. So
         // `work_visited` counts only real visits here: the shrinking
         // `wasted_visit_ratio` is the dirty loop's own acceptance gate.
         let filter = self.dirty_active();
@@ -2905,8 +2834,7 @@ impl Simulation {
                 events_processed,
                 queue_depth_hwm,
             });
-            // End-of-run state dumps (the structured successor of the old
-            // COOP_SWARM_DEBUG eprintln blocks).
+            // End-of-run state dumps.
             for (&(from, to), fl) in self.transfers.iter() {
                 let from_active = from == SEEDER_ID || self.is_active(from);
                 let (piece, bytes_done, piece_len) = (fl.piece, fl.bytes_done, fl.piece_len);
@@ -3442,16 +3370,5 @@ mod tests {
                 .run()
         };
         assert_eq!(run(false), run(true), "fault paths diverged from oracle");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_shim_still_works() {
-        let config = SwarmConfig::tiny_test();
-        let population = flash_crowd(&config, 4, MechanismKind::Altruism, 3);
-        let r = Simulation::new(config, population).unwrap().run();
-        assert!(r.rounds_run > 0);
-        // The shim surfaces the builder's eager checks as ConfigErrors.
-        assert!(Simulation::new(SwarmConfig::tiny_test(), Vec::new()).is_err());
     }
 }

@@ -9,9 +9,8 @@
 //! - [`TraceEvent`] / [`Category`] — the event taxonomy. Each event
 //!   renders to one JSONL line with a stable field order.
 //! - [`Sink`] implementations — [`JsonlSink`] (trace files),
-//!   [`StderrSink`] (the `COOP_SWARM_DEBUG` shorthand), and
-//!   [`MemorySink`] (tests and the batch executor's ordered post-run
-//!   writing).
+//!   [`CsvProbeSink`] (round-probe CSVs) and [`MemorySink`] (tests and
+//!   the batch executor's ordered post-run writing).
 //! - [`RunManifest`] — the per-run `manifest.json` written next to
 //!   artifacts: config fingerprint, seed, mechanisms, attack scenario,
 //!   wall-clock phase timings, and counter totals.
@@ -53,4 +52,4 @@ pub use profile::{
     PROFILE_SCHEMA_VERSION,
 };
 pub use recorder::{Histogram, Recorder, Sampling, SpanStats, TelemetryConfig, TelemetryReport};
-pub use sink::{AtomicFile, CsvProbeSink, JsonlSink, MemorySink, Sink, StderrSink, PROBE_CSV_HEADER};
+pub use sink::{AtomicFile, CsvProbeSink, JsonlSink, MemorySink, Sink, PROBE_CSV_HEADER};

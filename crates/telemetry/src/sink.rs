@@ -3,11 +3,10 @@
 //! A [`Recorder`](crate::Recorder) always retains the last
 //! `ring_capacity` kept events in a bounded ring buffer; sinks are the
 //! *streaming* side — each kept event is offered to every attached sink
-//! as it happens. Four implementations cover the workspace's needs:
+//! as it happens. Three implementations cover the workspace's needs:
 //! [`JsonlSink`] (a file or any writer), [`CsvProbeSink`] (round-probe
-//! time series as CSV), [`StderrSink`] (the `COOP_SWARM_DEBUG`
-//! shorthand), and [`MemorySink`] (tests and the batch executor's
-//! ordered post-run writing).
+//! time series as CSV), and [`MemorySink`] (tests and the batch
+//! executor's ordered post-run writing).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -143,17 +142,6 @@ impl<W: Write + Send> Sink for CsvProbeSink<W> {
 
     fn flush(&mut self) {
         let _ = self.writer.flush();
-    }
-}
-
-/// Writes events to stderr, one JSONL line each — the structured
-/// replacement for the old ad-hoc debug `eprintln!`s.
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl Sink for StderrSink {
-    fn record(&mut self, _seq: u64, event: &TraceEvent) {
-        eprintln!("{}", event.to_jsonl());
     }
 }
 

@@ -32,8 +32,16 @@ fn churned_results_are_identical_across_worker_counts() {
             workload: None,
         })
         .collect();
-    let sequential = Executor::sequential().run_sims(&jobs);
-    let parallel = Executor::new(8).run_sims(&jobs);
+    let sequential = Executor::sequential()
+        .run_sims_robust(&jobs, &TelemetryOpts::disabled())
+        .into_complete("churn")
+        .expect("every job runs")
+        .0;
+    let parallel = Executor::new(8)
+        .run_sims_robust(&jobs, &TelemetryOpts::disabled())
+        .into_complete("churn")
+        .expect("every job runs")
+        .0;
     // SimResult's PartialEq compares every recorded number bit-for-bit.
     assert_eq!(sequential, parallel, "worker count leaked into a churned run");
     assert!(
@@ -78,7 +86,7 @@ fn churn_sweep_artifacts_are_byte_identical_across_worker_counts() {
     let multipliers = [1.0];
 
     let dir_seq = scratch("jobs1");
-    let (report_seq, _) = fig4_churn::run_sweep(
+    let (report_seq, _) = fig4_churn::try_run_sweep(
         Scale::Quick,
         93,
         Some(stress_plan()),
@@ -86,10 +94,11 @@ fn churn_sweep_artifacts_are_byte_identical_across_worker_counts() {
         &Executor::sequential(),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_seq),
-    );
+    )
+    .expect("every cell runs");
 
     let dir_par = scratch("jobs4");
-    let (report_par, _) = fig4_churn::run_sweep(
+    let (report_par, _) = fig4_churn::try_run_sweep(
         Scale::Quick,
         93,
         Some(stress_plan()),
@@ -97,7 +106,8 @@ fn churn_sweep_artifacts_are_byte_identical_across_worker_counts() {
         &Executor::new(4),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_par),
-    );
+    )
+    .expect("every cell runs");
 
     assert_eq!(report_seq.render(), report_par.render());
     let base = artifact_bytes(&dir_seq);

@@ -98,7 +98,11 @@ fn panicking_job_is_isolated_and_precisely_named() {
 fn retries_recover_flakes_without_changing_results() {
     let seed = 58;
     let jobs = SimJob::grid(Scale::Quick, &[seed], |_| None);
-    let clean = Executor::new(2).run_sims(&jobs);
+    let clean = Executor::new(2)
+        .run_sims_robust(&jobs, &TelemetryOpts::disabled())
+        .into_complete("fig4")
+        .expect("every job runs")
+        .0;
 
     // The T-Chain job panics on its first attempt only; one retry heals it.
     let flaky = Executor::new(2)
@@ -139,7 +143,11 @@ fn watchdog_converts_hangs_into_timeout_failures() {
 fn checkpointing_cadence_is_observationally_free() {
     let seed = 60;
     let jobs = SimJob::grid(Scale::Quick, &[seed], |_| None);
-    let plain = Executor::new(2).run_sims(&jobs);
+    let plain = Executor::new(2)
+        .run_sims_robust(&jobs, &TelemetryOpts::disabled())
+        .into_complete("fig4")
+        .expect("every job runs")
+        .0;
     let run = Executor::new(2)
         .with_checkpoint_every(7)
         .run_sims_robust(&jobs, &TelemetryOpts::disabled());
@@ -165,13 +173,14 @@ fn killed_run_resumes_to_byte_identical_artifacts() {
 
     // Reference: one uninterrupted, journal-free run.
     let dir_ref = scratch("reference");
-    runners::fig4::run_with_telemetry(
+    runners::fig4::try_run_with_telemetry(
         Scale::Quick,
         seed,
         &Executor::new(2),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_ref),
-    );
+    )
+    .expect("fig4 runs");
     let reference = artifact_bytes(&dir_ref);
     assert!(reference.len() >= 40, "fig4 writes CSV/JSON/SVG artifacts");
 

@@ -5,16 +5,15 @@
 //!
 //! Three layers of evidence, from strongest to broadest:
 //!
-//! 1. Per-mechanism three-way oracle runs — a fig4-sized swarm executed
-//!    three times from the same seed: once with `naive_hotpath(true)`
-//!    (the pre-index round loop kept behind `coop-swarm`'s
-//!    `hotpath-oracle` feature: per-round candidate rebuilds, per-bit
-//!    rarest-first picks, full peer-struct scans), once on the indexed
-//!    full-scan loop (`RoundLoop::Indexed`), and once on the dirty-set
-//!    loop (`RoundLoop::Dirty`, the default). All three [`SimResult`]s
-//!    must compare equal, and the dirty result's debug fingerprint must
-//!    match a pinned golden constant so *all* paths drifting together is
-//!    also caught. A second sweep repeats the three-way comparison with
+//! 1. Per-mechanism oracle runs — a fig4-sized swarm executed twice
+//!    from the same seed: once with `naive_hotpath(true)` (the pre-index
+//!    round loop kept behind `coop-swarm`'s `hotpath-oracle` feature:
+//!    every online peer visited every round, per-round candidate
+//!    rebuilds, per-bit rarest-first picks, full peer-struct scans) and
+//!    once on the production dirty-set loop. Both [`SimResult`]s must
+//!    compare equal, and the dirty result's debug fingerprint must match
+//!    a pinned golden constant so *both* paths drifting together is
+//!    also caught. A second sweep repeats the comparison with
 //!    a churn/fault plan active (outages, departures, link loss,
 //!    whitewashing and free-riding tags) — the regime where a stale
 //!    dirty set would actually skip work.
@@ -41,7 +40,7 @@ use coop_incentives::analysis::capacity::CapacityClassMix;
 use coop_incentives::MechanismKind;
 use coop_piece::{AvailabilityIndex, AvailabilityMap, Bitfield, PiecePicker, RarestFirstPicker};
 use coop_swarm::{
-    flash_crowd_with, FaultEvent, FaultKind, FaultSchedule, RoundLoop, SimResult, Simulation,
+    flash_crowd_with, FaultEvent, FaultKind, FaultSchedule, SimResult, Simulation,
     SimulationBuilder,
 };
 use coop_telemetry::fingerprint_debug;
@@ -51,15 +50,19 @@ const SEED: u64 = 42;
 /// Which round-loop implementation a cell runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
-    /// Pre-index oracle (`hotpath-oracle` feature).
+    /// Pre-index oracle (`hotpath-oracle` feature): every online peer
+    /// visited every round.
     Naive,
-    /// Indexed full-scan loop: every online peer visited every round.
-    Indexed,
     /// Dirty-set loop: only changed peers and their candidates visited.
     Dirty,
 }
 
-const MODES: [Mode; 3] = [Mode::Naive, Mode::Indexed, Mode::Dirty];
+const MODES: [Mode; 2] = [Mode::Naive, Mode::Dirty];
+
+/// Routes a builder onto the given round loop.
+fn on_loop(builder: SimulationBuilder, mode: Mode) -> SimulationBuilder {
+    builder.naive_hotpath(mode == Mode::Naive)
+}
 
 /// One fig4-sized cell (quick scale: 80 peers, 64 pieces) on the given
 /// round loop, optionally under a churn/fault plan. Returned as a
@@ -90,12 +93,7 @@ fn build_cell(kind: MechanismKind, mode: Mode, faults: Option<FaultSchedule>) ->
     if let Some(schedule) = faults {
         builder = builder.fault_schedule(schedule);
     }
-    match mode {
-        Mode::Naive => builder = builder.naive_hotpath(true),
-        Mode::Indexed => builder = builder.round_loop(RoundLoop::Indexed),
-        Mode::Dirty => builder = builder.round_loop(RoundLoop::Dirty),
-    }
-    builder
+    on_loop(builder, mode)
 }
 
 fn run_cell(kind: MechanismKind, mode: Mode, faults: Option<FaultSchedule>) -> SimResult {
@@ -119,19 +117,13 @@ fn fault_plan() -> FaultSchedule {
     )
 }
 
-/// Three-way oracle equivalence plus the golden pin for one mechanism.
+/// Oracle equivalence plus the golden pin for one mechanism.
 fn check(kind: MechanismKind, golden: u64) {
-    let [naive, indexed, dirty] = MODES.map(|m| run_cell(kind, m, None));
+    let [naive, dirty] = MODES.map(|m| run_cell(kind, m, None));
     assert_eq!(
         naive,
-        indexed,
-        "{}: indexed and naive round loops must produce identical results",
-        kind.name()
-    );
-    assert_eq!(
-        indexed,
         dirty,
-        "{}: dirty-set and indexed round loops must produce identical results",
+        "{}: dirty-set and naive round loops must produce identical results",
         kind.name()
     );
     assert_eq!(
@@ -143,32 +135,32 @@ fn check(kind: MechanismKind, golden: u64) {
 }
 
 #[test]
-fn reciprocity_three_way_agree() {
+fn reciprocity_dirty_matches_naive() {
     check(MechanismKind::Reciprocity, 0xf142_e8cd_df73_62f3);
 }
 
 #[test]
-fn tchain_three_way_agree() {
+fn tchain_dirty_matches_naive() {
     check(MechanismKind::TChain, 0xd770_50a3_a4b5_4488);
 }
 
 #[test]
-fn bittorrent_three_way_agree() {
+fn bittorrent_dirty_matches_naive() {
     check(MechanismKind::BitTorrent, 0x1747_b4f4_a04f_9a41);
 }
 
 #[test]
-fn fairtorrent_three_way_agree() {
+fn fairtorrent_dirty_matches_naive() {
     check(MechanismKind::FairTorrent, 0xa9e1_af1e_5a0b_1e11);
 }
 
 #[test]
-fn reputation_three_way_agree() {
+fn reputation_dirty_matches_naive() {
     check(MechanismKind::Reputation, 0x7808_d994_c6ab_a357);
 }
 
 #[test]
-fn altruism_three_way_agree() {
+fn altruism_dirty_matches_naive() {
     check(MechanismKind::Altruism, 0x5d96_b918_3757_35a3);
 }
 
@@ -189,29 +181,20 @@ fn build_epoch_cell(epoch_rounds: u64, mode: Mode) -> SimulationBuilder {
         &CapacityClassMix::paper_default(),
         Scale::Quick.arrival_window(),
     );
-    let builder = Simulation::builder(config).population(population);
-    match mode {
-        Mode::Naive => builder.naive_hotpath(true),
-        Mode::Indexed => builder.round_loop(RoundLoop::Indexed),
-        Mode::Dirty => builder.round_loop(RoundLoop::Dirty),
-    }
+    on_loop(Simulation::builder(config).population(population), mode)
 }
 
-/// Three-way oracle equivalence plus the golden pin for one epoch length.
+/// Oracle equivalence plus the golden pin for one epoch length.
 fn check_epoch(epoch_rounds: u64, golden: u64) {
-    let [naive, indexed, dirty] = MODES.map(|m| {
+    let [naive, dirty] = MODES.map(|m| {
         build_epoch_cell(epoch_rounds, m)
             .build()
             .expect("quick config validates")
             .run()
     });
     assert_eq!(
-        naive, indexed,
-        "epoch={epoch_rounds}: indexed and naive round loops must produce identical results"
-    );
-    assert_eq!(
-        indexed, dirty,
-        "epoch={epoch_rounds}: dirty-set and indexed round loops must produce identical results"
+        naive, dirty,
+        "epoch={epoch_rounds}: dirty-set and naive round loops must produce identical results"
     );
     assert_eq!(
         fingerprint_debug(&dirty),
@@ -241,29 +224,20 @@ fn build_consensus_cell(mode: Mode) -> SimulationBuilder {
         &coop_attacks::AttackPlan::adaptive_mix(0.2),
         SEED,
     );
-    let builder = Simulation::builder(config).population(population);
-    match mode {
-        Mode::Naive => builder.naive_hotpath(true),
-        Mode::Indexed => builder.round_loop(RoundLoop::Indexed),
-        Mode::Dirty => builder.round_loop(RoundLoop::Dirty),
-    }
+    on_loop(Simulation::builder(config).population(population), mode)
 }
 
 #[test]
-fn consensus_three_way_agree_under_adaptive_attack() {
-    let [naive, indexed, dirty] = MODES.map(|m| {
+fn consensus_dirty_matches_naive_under_adaptive_attack() {
+    let [naive, dirty] = MODES.map(|m| {
         build_consensus_cell(m)
             .build()
             .expect("quick config validates")
             .run()
     });
     assert_eq!(
-        naive, indexed,
-        "consensus: indexed and naive round loops must produce identical results"
-    );
-    assert_eq!(
-        indexed, dirty,
-        "consensus: dirty-set and indexed round loops must produce identical results"
+        naive, dirty,
+        "consensus: dirty-set and naive round loops must produce identical results"
     );
     // The cell must actually exercise the consensus layer, or the
     // equivalence claim is vacuous.
@@ -282,8 +256,8 @@ fn consensus_dirty_loop_does_strictly_less_visiting() {
     // Bans shrink the visit set: banned peers are skipped wholesale by
     // the allocation scan and evicted from every candidate row, so on the
     // same adaptive-attack workload the dirty loop must visit strictly
-    // fewer peers than the indexed full scan while producing the
-    // identical result.
+    // fewer peers than the naive full scan while producing the identical
+    // result.
     use coop_telemetry::profile::work;
     use coop_telemetry::{Recorder, TelemetryConfig};
     let traced = |mode| {
@@ -293,24 +267,24 @@ fn consensus_dirty_loop_does_strictly_less_visiting() {
             .expect("quick config validates")
             .run_traced()
     };
-    let (indexed, indexed_report) = traced(Mode::Indexed);
+    let (naive, naive_report) = traced(Mode::Naive);
     let (dirty, dirty_report) = traced(Mode::Dirty);
-    assert_eq!(indexed, dirty, "visit accounting must not change results");
-    let indexed_visits = indexed_report.counter(work::PEERS_VISITED);
+    assert_eq!(naive, dirty, "visit accounting must not change results");
+    let naive_visits = naive_report.counter(work::PEERS_VISITED);
     let dirty_visits = dirty_report.counter(work::PEERS_VISITED);
     assert!(
-        dirty_visits < indexed_visits,
-        "dirty loop visited {dirty_visits} peers, indexed {indexed_visits} — expected strictly fewer"
+        dirty_visits < naive_visits,
+        "dirty loop visited {dirty_visits} peers, naive {naive_visits} — expected strictly fewer"
     );
 }
 
 #[test]
-fn epoch_settlement_three_way_agree_short_epochs() {
+fn epoch_settlement_dirty_matches_naive_short_epochs() {
     check_epoch(2, 0x8a51_97be_7d96_99a0);
 }
 
 #[test]
-fn epoch_settlement_three_way_agree_long_epochs() {
+fn epoch_settlement_dirty_matches_naive_long_epochs() {
     check_epoch(64, 0x1389_739d_a649_38c8);
 }
 
@@ -335,13 +309,13 @@ fn epoch_settlement_dirty_loop_never_does_more_work_and_settles() {
             .expect("quick config validates")
             .run_traced()
     };
-    let (indexed, indexed_report) = traced(Mode::Indexed);
+    let (naive, naive_report) = traced(Mode::Naive);
     let (dirty, dirty_report) = traced(Mode::Dirty);
-    assert_eq!(indexed, dirty, "visit accounting must not change results");
-    let indexed_visits = indexed_report.counter(work::PEERS_VISITED);
+    assert_eq!(naive, dirty, "visit accounting must not change results");
+    let naive_visits = naive_report.counter(work::PEERS_VISITED);
     let dirty_visits = dirty_report.counter(work::PEERS_VISITED);
     assert_eq!(
-        dirty_visits, indexed_visits,
+        dirty_visits, naive_visits,
         "always-granting saturation: the dirty loop must collapse to the \
          full scan, no more and no less"
     );
@@ -354,15 +328,15 @@ fn epoch_settlement_dirty_loop_never_does_more_work_and_settles() {
             .expect("quick config validates")
             .run_traced()
     };
-    let (_, alt_indexed) = altruism_traced(Mode::Indexed);
+    let (_, alt_naive) = altruism_traced(Mode::Naive);
     let (_, alt_dirty) = altruism_traced(Mode::Dirty);
     assert_eq!(
         alt_dirty.counter(work::PEERS_VISITED),
-        alt_indexed.counter(work::PEERS_VISITED),
+        alt_naive.counter(work::PEERS_VISITED),
         "altruism no longer saturates the dirty set — re-examine the \
          epoch saturation claim above"
     );
-    for report in [&indexed_report, &dirty_report] {
+    for report in [&naive_report, &dirty_report] {
         let settlements = report.counter(work::EPOCH_SETTLEMENTS);
         let boundaries = report.counter(work::EPOCH_BOUNDARIES);
         assert!(settlements > 0, "no epoch settlements fired");
@@ -374,30 +348,24 @@ fn epoch_settlement_dirty_loop_never_does_more_work_and_settles() {
     }
     // Per-transfer mechanisms must pay nothing for the epoch gate: their
     // reports carry no settlement counters at all.
-    assert_eq!(alt_indexed.counter(work::EPOCH_SETTLEMENTS), 0);
-    assert_eq!(alt_indexed.counter(work::EPOCH_BOUNDARIES), 0);
+    assert_eq!(alt_naive.counter(work::EPOCH_SETTLEMENTS), 0);
+    assert_eq!(alt_naive.counter(work::EPOCH_BOUNDARIES), 0);
 }
 
 #[test]
-fn three_way_agree_under_churn_and_faults() {
+fn dirty_matches_naive_under_churn_and_faults() {
     // The dirty loop earns its keep exactly when peers flap: outages,
     // departures, lost deliveries and identity churn all mutate the set
     // of peers worth visiting. Every mechanism — including the
     // epoch-settled seventh, whose boundary pass must not drift under
-    // churn — must stay three-way identical with the full fault plan
+    // churn — must stay identical to the oracle with the full fault plan
     // active.
     for kind in MechanismKind::EXTENDED {
-        let [naive, indexed, dirty] = MODES.map(|m| run_cell(kind, m, Some(fault_plan())));
+        let [naive, dirty] = MODES.map(|m| run_cell(kind, m, Some(fault_plan())));
         assert_eq!(
             naive,
-            indexed,
-            "{}: indexed loop diverged from oracle under faults",
-            kind.name()
-        );
-        assert_eq!(
-            indexed,
             dirty,
-            "{}: dirty-set loop diverged under faults",
+            "{}: dirty-set loop diverged from oracle under faults",
             kind.name()
         );
     }
@@ -423,14 +391,14 @@ fn dirty_loop_does_strictly_less_visiting() {
             .expect("quick config validates")
             .run_traced()
     };
-    let (indexed, indexed_report) = traced(Mode::Indexed);
+    let (naive, naive_report) = traced(Mode::Naive);
     let (dirty, dirty_report) = traced(Mode::Dirty);
-    assert_eq!(indexed, dirty, "visit accounting must not change results");
-    let indexed_visits = indexed_report.counter(work::PEERS_VISITED);
+    assert_eq!(naive, dirty, "visit accounting must not change results");
+    let naive_visits = naive_report.counter(work::PEERS_VISITED);
     let dirty_visits = dirty_report.counter(work::PEERS_VISITED);
     assert!(
-        dirty_visits < indexed_visits,
-        "dirty loop visited {dirty_visits} peers, indexed {indexed_visits} — expected strictly fewer"
+        dirty_visits < naive_visits,
+        "dirty loop visited {dirty_visits} peers, naive {naive_visits} — expected strictly fewer"
     );
 }
 
@@ -463,22 +431,24 @@ fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 #[test]
 fn fig4_artifacts_are_byte_identical_across_worker_counts() {
     let dir_seq = scratch("jobs1");
-    let (report_seq, _) = runners::fig4::run_with_telemetry(
+    let (report_seq, _) = runners::fig4::try_run_with_telemetry(
         Scale::Quick,
         SEED,
         &Executor::new(1),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_seq),
-    );
+    )
+    .expect("fig4 runs");
 
     let dir_par = scratch("jobs4");
-    let (report_par, _) = runners::fig4::run_with_telemetry(
+    let (report_par, _) = runners::fig4::try_run_with_telemetry(
         Scale::Quick,
         SEED,
         &Executor::new(4),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_par),
-    );
+    )
+    .expect("fig4 runs");
 
     assert_eq!(
         report_seq.render(),

@@ -85,13 +85,14 @@ fn fig4_artifacts_are_byte_identical_across_profile_modes() {
 
     // Baseline: profiling off, two workers.
     let dir_off = scratch("fig4-off");
-    let (report_off, _) = runners::fig4::run_with_telemetry(
+    let (report_off, _) = runners::fig4::try_run_with_telemetry(
         Scale::Quick,
         seed,
         &Executor::new(2),
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_off),
-    );
+    )
+    .expect("fig4 runs");
     assert!(
         !dir_off.join(PROFILE_FILE).exists(),
         "profiling off writes no profile.json"
@@ -99,23 +100,25 @@ fn fig4_artifacts_are_byte_identical_across_profile_modes() {
 
     // Full-rate profiling on four workers.
     let dir_on = scratch("fig4-on");
-    let (report_on, _) = runners::fig4::run_with_telemetry(
+    let (report_on, _) = runners::fig4::try_run_with_telemetry(
         Scale::Quick,
         seed,
         &Executor::new(4),
         &profile_opts(1),
         &OutputDir::new(&dir_on),
-    );
+    )
+    .expect("fig4 runs");
 
     // Sampled profiling (every other slot), single worker.
     let dir_sampled = scratch("fig4-sampled");
-    let (report_sampled, _) = runners::fig4::run_with_telemetry(
+    let (report_sampled, _) = runners::fig4::try_run_with_telemetry(
         Scale::Quick,
         seed,
         &Executor::sequential(),
         &profile_opts(2),
         &OutputDir::new(&dir_sampled),
-    );
+    )
+    .expect("fig4 runs");
 
     assert_eq!(report_off.render(), report_on.render());
     assert_eq!(report_off.render(), report_sampled.render());
@@ -162,13 +165,14 @@ fn fig4_artifacts_are_byte_identical_across_shard_counts() {
     // baseline.
     let seed = 63;
     let run = |dir: &Path, jobs: usize, shards: usize, opts: &TelemetryOpts| {
-        runners::fig4::run_with_telemetry(
+        runners::fig4::try_run_with_telemetry(
             Scale::Quick,
             seed,
             &Executor::new(jobs).with_shards(shards),
             opts,
             &OutputDir::new(dir),
         )
+        .expect("fig4 runs")
         .0
         .render()
     };

@@ -51,13 +51,14 @@ fn fig4_artifacts_are_byte_identical_across_telemetry_modes() {
 
     // Baseline: telemetry off.
     let dir_off = scratch("off");
-    let (report_off, trace_off) = runners::fig4::run_with_telemetry(
+    let (report_off, trace_off) = runners::fig4::try_run_with_telemetry(
         Scale::Quick,
         seed,
         &executor,
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_off),
-    );
+    )
+    .expect("fig4 runs");
     assert!(trace_off.is_none(), "disabled telemetry gathers nothing");
 
     // Full-rate telemetry with a JSONL trace.
@@ -69,13 +70,14 @@ fn fig4_artifacts_are_byte_identical_across_telemetry_modes() {
         probe_every: 1,
         ..TelemetryOpts::disabled()
     };
-    let (report_on, trace_on) = runners::fig4::run_with_telemetry(
+    let (report_on, trace_on) = runners::fig4::try_run_with_telemetry(
         Scale::Quick,
         seed,
         &executor,
         &opts_on,
         &OutputDir::new(&dir_on),
-    );
+    )
+    .expect("fig4 runs");
     let trace_on = trace_on.expect("telemetry on gathers a trace");
 
     // Sparse sampling on a different worker count.
@@ -86,13 +88,14 @@ fn fig4_artifacts_are_byte_identical_across_telemetry_modes() {
         probe_every: 7,
         ..TelemetryOpts::disabled()
     };
-    let (report_sampled, _) = runners::fig4::run_with_telemetry(
+    let (report_sampled, _) = runners::fig4::try_run_with_telemetry(
         Scale::Quick,
         seed,
         &Executor::sequential(),
         &opts_sampled,
         &OutputDir::new(&dir_sampled),
-    );
+    )
+    .expect("fig4 runs");
 
     // The rendered reports agree exactly.
     assert_eq!(report_off.render(), report_on.render());
@@ -182,13 +185,14 @@ fn replicated_fig4_is_unchanged_by_telemetry() {
     let executor = Executor::new(2);
 
     let dir_off = scratch("rep-off");
-    let (report_off, _) = runners::fig4::run_replicated_with_telemetry(
+    let (report_off, _) = runners::fig4::try_run_replicated_with_telemetry(
         Scale::Quick,
         &seeds,
         &executor,
         &TelemetryOpts::disabled(),
         &OutputDir::new(&dir_off),
-    );
+    )
+    .expect("replicated fig4 runs");
 
     let dir_on = scratch("rep-on");
     let opts = TelemetryOpts {
@@ -197,13 +201,14 @@ fn replicated_fig4_is_unchanged_by_telemetry() {
         probe_every: 3,
         ..TelemetryOpts::disabled()
     };
-    let (report_on, trace) = runners::fig4::run_replicated_with_telemetry(
+    let (report_on, trace) = runners::fig4::try_run_replicated_with_telemetry(
         Scale::Quick,
         &seeds,
         &executor,
         &opts,
         &OutputDir::new(&dir_on),
-    );
+    )
+    .expect("replicated fig4 runs");
     assert_eq!(report_off.render(), report_on.render());
 
     let trace = trace.expect("trace gathered");
