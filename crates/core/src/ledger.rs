@@ -10,11 +10,10 @@
 //!   algorithm ("the probability of uploading to another user is
 //!   proportional to the total number of pieces uploaded by that user").
 
-use std::collections::HashMap;
-
 use rand::Rng;
 use rand::RngCore;
 
+use crate::hash::FastMap;
 use crate::PeerId;
 
 /// Per-neighbor contribution accounting for one peer.
@@ -36,10 +35,10 @@ use crate::PeerId;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ContributionLedger {
-    sent: HashMap<PeerId, u64>,
-    received: HashMap<PeerId, u64>,
-    received_this_round: HashMap<PeerId, u64>,
-    received_last_round: HashMap<PeerId, u64>,
+    sent: FastMap<PeerId, u64>,
+    received: FastMap<PeerId, u64>,
+    received_this_round: FastMap<PeerId, u64>,
+    received_last_round: FastMap<PeerId, u64>,
     total_sent: u64,
     total_received: u64,
 }
@@ -64,9 +63,12 @@ impl ContributionLedger {
     }
 
     /// Rolls the per-round window: this round's receipts become "last
-    /// round" and the current window resets.
+    /// round" and the current window resets. The two windows swap and
+    /// the new current one is cleared in place, so a steady-state round
+    /// allocates nothing.
     pub fn end_round(&mut self) {
-        self.received_last_round = std::mem::take(&mut self.received_this_round);
+        std::mem::swap(&mut self.received_last_round, &mut self.received_this_round);
+        self.received_this_round.clear();
     }
 
     /// Total bytes ever sent to `to`.
@@ -152,7 +154,7 @@ impl ContributionLedger {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DeficitLedger {
-    deficits: HashMap<PeerId, i64>,
+    deficits: FastMap<PeerId, i64>,
 }
 
 impl DeficitLedger {
@@ -217,7 +219,7 @@ impl DeficitLedger {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ReputationTable {
-    uploaded: HashMap<PeerId, u64>,
+    uploaded: FastMap<PeerId, u64>,
     total: u64,
 }
 
@@ -318,9 +320,9 @@ impl ReputationTable {
 #[derive(Clone, Debug, Default)]
 pub struct ReportedReputation {
     /// subject → (reporter → claim with decay bookkeeping).
-    reports: HashMap<PeerId, HashMap<PeerId, Claim>>,
+    reports: FastMap<PeerId, FastMap<PeerId, Claim>>,
     /// subject → total claimed bytes (the basic reputation, undecayed).
-    basic: HashMap<PeerId, u64>,
+    basic: FastMap<PeerId, u64>,
     /// Current round, advanced by the caller; claim ages are measured
     /// against it. Stays 0 (no decay) unless [`Self::advance_to`] is used.
     round: u64,
@@ -402,59 +404,72 @@ impl ReportedReputation {
     /// reporter's trust share shifts toward whoever it vouched for
     /// recently and a long-idle subject's stale claims fade instead of
     /// being re-inflated to a full row share.
-    pub fn trusted_scores(&self, pretrusted: &[PeerId]) -> HashMap<PeerId, f64> {
+    ///
+    /// Every `f64` sum runs in sorted `(subject, reporter)` order, so equal
+    /// claim sets give bitwise-equal scores whatever order the claims
+    /// were recorded in.
+    pub fn trusted_scores(&self, pretrusted: &[PeerId]) -> FastMap<PeerId, f64> {
         const DAMPING: f64 = 0.15;
         const ITERATIONS: usize = 15;
         let now = self.round;
-        let effective =
-            |c: &Claim| c.decayed * REPORT_DECAY.powi((now - c.last_round) as i32);
+        // Every claim edge as (subject, reporter, decayed weight).
+        let mut edges: Vec<(PeerId, PeerId, f64)> = self
+            .reports
+            .iter()
+            .flat_map(|(&subject, reporters)| {
+                reporters.iter().map(move |(&reporter, c)| {
+                    let age = (now - c.last_round) as i32;
+                    (subject, reporter, c.decayed * REPORT_DECAY.powi(age))
+                })
+            })
+            .collect();
+        edges.sort_unstable_by_key(|&(s, r, _)| (s, r));
         // Collect every peer seen as reporter or subject.
         let mut members: Vec<PeerId> = self.reports.keys().copied().collect();
-        for reporters in self.reports.values() {
-            members.extend(reporters.keys().copied());
-        }
-        members.extend(pretrusted.iter().copied());
-        members.sort();
+        members.extend(edges.iter().map(|&(_, r, _)| r));
+        members.extend_from_slice(pretrusted);
+        members.sort_unstable();
         members.dedup();
         if members.is_empty() {
-            return HashMap::new();
+            return FastMap::default();
         }
-        let n = members.len() as f64;
-        let pre: HashMap<PeerId, f64> = if pretrusted.is_empty() {
-            members.iter().map(|&m| (m, 1.0 / n)).collect()
+        let slot = |p: PeerId| members.binary_search(&p).expect("every peer is a member");
+        let n = members.len();
+        let mut pre = vec![0.0; n];
+        if pretrusted.is_empty() {
+            pre.fill(1.0 / n as f64);
         } else {
             let share = 1.0 / pretrusted.len() as f64;
-            pretrusted.iter().map(|&m| (m, share)).collect()
-        };
-        let pre_of = |m: PeerId| pre.get(&m).copied().unwrap_or(0.0);
-        // Row-normalized outgoing claims per reporter, decayed first.
-        let mut outgoing_total: HashMap<PeerId, f64> = HashMap::new();
-        for reporters in self.reports.values() {
-            for (&r, claim) in reporters {
-                *outgoing_total.entry(r).or_insert(0.0) += effective(claim);
+            for &m in pretrusted {
+                pre[slot(m)] = share;
             }
         }
-        let mut trust: HashMap<PeerId, f64> =
-            members.iter().map(|&m| (m, pre_of(m))).collect();
+        let edges: Vec<(usize, usize, f64)> = edges
+            .iter()
+            .map(|&(s, r, w)| (slot(s), slot(r), w))
+            .collect();
+        // Row-normalized outgoing claims per reporter, decayed first.
+        let mut outgoing_total = vec![0.0; n];
+        for &(_, r, w) in &edges {
+            outgoing_total[r] += w;
+        }
+        let mut trust = pre.clone();
         for _ in 0..ITERATIONS {
-            let mut next: HashMap<PeerId, f64> = members
-                .iter()
-                .map(|&m| (m, DAMPING * pre_of(m)))
-                .collect();
-            for (&subject, reporters) in &self.reports {
+            let mut next: Vec<f64> = pre.iter().map(|&p| DAMPING * p).collect();
+            for row in edges.chunk_by(|a, b| a.0 == b.0) {
                 let mut inflow = 0.0;
-                for (&reporter, claim) in reporters {
-                    let total = outgoing_total.get(&reporter).copied().unwrap_or(0.0);
+                for &(_, reporter, w) in row {
+                    let total = outgoing_total[reporter];
                     if total > 0.0 {
-                        let weight = effective(claim) / total;
-                        inflow += weight * trust.get(&reporter).copied().unwrap_or(0.0);
+                        let weight = w / total;
+                        inflow += weight * trust[reporter];
                     }
                 }
-                *next.entry(subject).or_insert(0.0) += (1.0 - DAMPING) * inflow;
+                next[row[0].0] += (1.0 - DAMPING) * inflow;
             }
             trust = next;
         }
-        trust
+        members.into_iter().zip(trust).collect()
     }
 
     /// Forgets everything reported about and by `peer` (identity
@@ -653,6 +668,38 @@ mod tests {
         assert_eq!(r.basic(p(2)), 0.0, "claims by the retired id vanish");
         let trusted = r.trusted_scores(&[p(0)]);
         assert!(!trusted.contains_key(&p(1)));
+    }
+
+    #[test]
+    fn trusted_scores_are_bitwise_independent_of_claim_order() {
+        // A dense random claim graph with repeated edges, recorded in two
+        // different orders: every score must have the same bits (each f64
+        // sum runs in sorted order). Integer byte claims keep the ledger
+        // contents themselves exact, whatever the recording order.
+        let mut rng = SmallRng::seed_from_u64(11);
+        let claims: Vec<(PeerId, PeerId, u64)> = (0..600)
+            .map(|_| {
+                let reporter = p(rng.gen_range(0..60));
+                let subject = p(rng.gen_range(0..60));
+                (reporter, subject, rng.gen_range(1..100_000))
+            })
+            .collect();
+        let build = |claims: &mut dyn Iterator<Item = &(PeerId, PeerId, u64)>| {
+            let mut r = ReportedReputation::new();
+            for &(reporter, subject, bytes) in claims {
+                r.record(reporter, subject, bytes);
+            }
+            // Score with aged claims, so the decay path is exercised.
+            r.advance_to(20);
+            r.trusted_scores(&[p(0), p(1)])
+        };
+        let a = build(&mut claims.iter());
+        let b = build(&mut claims.iter().rev());
+        assert_eq!(a.len(), 60);
+        assert_eq!(a.len(), b.len());
+        for (peer, score) in &a {
+            assert_eq!(score.to_bits(), b[peer].to_bits(), "score of {peer}");
+        }
     }
 
     #[test]

@@ -21,10 +21,9 @@
 //! protocol); the experiment harness compares them against stock
 //! BitTorrent in `ablations`.
 
-use std::collections::HashMap;
-
 use rand::RngCore;
 
+use crate::hash::FastMap;
 use crate::mechanism::{Grant, GrantReason, Mechanism, MechanismParams};
 use crate::mechanisms::{interested_neighbors, pick_random, StickyTarget};
 use crate::view::SwarmView;
@@ -47,7 +46,7 @@ const RATE_ALPHA: f64 = 0.3;
 #[derive(Clone, Debug)]
 pub struct PropShare {
     params: MechanismParams,
-    rates: HashMap<PeerId, f64>,
+    rates: FastMap<PeerId, f64>,
     optimistic: StickyTarget,
 }
 
@@ -56,7 +55,7 @@ impl PropShare {
     pub fn new(params: MechanismParams) -> Self {
         PropShare {
             params,
-            rates: HashMap::new(),
+            rates: FastMap::default(),
             optimistic: StickyTarget::new(),
         }
     }
@@ -151,9 +150,9 @@ struct TyrantEstimate {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BitTyrant {
-    estimates: HashMap<PeerId, TyrantEstimate>,
+    estimates: FastMap<PeerId, TyrantEstimate>,
     /// What we funded each neighbor last round (to judge reciprocation).
-    funded_last_round: HashMap<PeerId, u64>,
+    funded_last_round: FastMap<PeerId, u64>,
     default_required: f64,
 }
 
@@ -162,8 +161,8 @@ impl BitTyrant {
     /// BitTyrant ignores `α_BT` (it runs no optimistic unchoking).
     pub fn new(_params: MechanismParams) -> Self {
         BitTyrant {
-            estimates: HashMap::new(),
-            funded_last_round: HashMap::new(),
+            estimates: FastMap::default(),
+            funded_last_round: FastMap::default(),
             default_required: 0.0,
         }
     }

@@ -14,11 +14,10 @@
 //! FairTorrent bootstrap almost as fast as altruism (Table II) — and also
 //! what free-riders with fresh identities exploit (whitewashing).
 
-use std::collections::HashMap;
-
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
+use crate::hash::FastMap;
 use crate::mechanism::{Grant, GrantReason, Mechanism};
 use crate::mechanisms::{interested_neighbors, StickyTarget};
 use crate::view::SwarmView;
@@ -72,7 +71,7 @@ impl Mechanism for FairTorrent {
         // byte-by-byte, and re-deciding every round would scatter partial
         // transfers). A local shadow makes pieces granted earlier in the
         // same call shift later choices.
-        let mut planned: HashMap<PeerId, i64> = HashMap::new();
+        let mut planned: FastMap<PeerId, i64> = FastMap::default();
         let deficits = view.deficits();
         let piece = view.piece_size();
         let chunks = self.sticky.allocate(budget, piece, &candidates, rng, |c, rng| {

@@ -27,11 +27,10 @@
 //! reciprocity); otherwise a third peer `k` that needs a piece `j` holds
 //! (indirect reciprocity), matching Eq. (6)'s two terms.
 
-use std::collections::HashMap;
-
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
+use crate::hash::FastMap;
 use crate::mechanism::{Grant, GrantReason, Mechanism, MechanismParams};
 use crate::mechanisms::{interested_neighbors, pick_random, StickyTarget};
 use crate::view::SwarmView;
@@ -55,7 +54,7 @@ pub struct TChain {
     /// T-Chain's reputation component — uploaders stop initiating chains
     /// toward peers that repeatedly let obligations expire (free-riders),
     /// while honest-but-slow peers keep a positive record.
-    history: HashMap<PeerId, (u32, u32)>,
+    history: FastMap<PeerId, (u32, u32)>,
 }
 
 impl TChain {
@@ -64,7 +63,7 @@ impl TChain {
         TChain {
             params,
             seeding: StickyTarget::new(),
-            history: HashMap::new(),
+            history: FastMap::default(),
         }
     }
 

@@ -90,7 +90,7 @@ pub(crate) struct CheckpointState {
     pub(crate) expected_compliant: usize,
     pub(crate) reports: ReportedReputation,
     pub(crate) pretrusted: Vec<PeerId>,
-    pub(crate) trusted_cache: std::collections::HashMap<PeerId, f64>,
+    pub(crate) trusted_cache: coop_incentives::hash::FastMap<PeerId, f64>,
     pub(crate) adj: Vec<PeerId>,
     pub(crate) adj_off: Vec<u32>,
     pub(crate) adj_dirty: bool,

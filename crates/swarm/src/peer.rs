@@ -12,9 +12,10 @@
 //! All transitions go through the `acquire_usable` / `lock_piece` /
 //! `unlock_piece` / `discard_locked` methods, which maintain the caches.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use coop_des::SimTime;
+use coop_incentives::hash::FastSet;
 use coop_incentives::ledger::{ContributionLedger, DeficitLedger};
 use coop_incentives::{Mechanism, Obligation, PeerId};
 use coop_piece::Bitfield;
@@ -54,7 +55,7 @@ pub struct PeerState {
     absent: Bitfield,
     /// Pieces currently being downloaded (any source), to avoid duplicate
     /// fetches.
-    pub inflight: HashSet<u32>,
+    pub inflight: FastSet<u32>,
     /// How many of the in-flight transfers toward this peer are
     /// conditional (will become obligations on delivery).
     pub inflight_conditional: usize,
@@ -110,7 +111,7 @@ impl PeerState {
             locked: Bitfield::new(num_pieces),
             offer: Bitfield::new(num_pieces),
             absent: Bitfield::full(num_pieces),
-            inflight: HashSet::new(),
+            inflight: FastSet::default(),
             inflight_conditional: 0,
             ledger: ContributionLedger::new(),
             deficits: DeficitLedger::new(),

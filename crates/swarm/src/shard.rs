@@ -17,15 +17,16 @@
 //! artifacts are byte-identical for any `--shards K` — pinned by the
 //! sharded rows of the profile/byte-identity batteries.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
+use coop_incentives::hash::FastMap;
 use coop_incentives::ledger::{ContributionLedger, DeficitLedger, ReputationTable};
 use coop_incentives::{Obligation, PeerId, SwarmView};
 use coop_piece::Bitfield;
 
 use crate::peer::PeerState;
 use crate::sim::SEEDER_ID;
+use crate::soa::HotPeers;
 use crate::transfer::TransferTable;
 
 /// Below this many items a phase runs sequentially: thread spawn costs
@@ -64,29 +65,21 @@ pub(crate) fn candidates_of<'a>(adj: &'a [PeerId], adj_off: &[u32], id: u32) -> 
     }
 }
 
-/// Can `id` currently exchange bytes? Free-function twin of
-/// `Simulation::is_online`.
-pub(crate) fn is_online_in(peers: &[PeerState], id: PeerId) -> bool {
-    if id == SEEDER_ID {
-        return false;
-    }
-    peers
-        .get(id.index() as usize)
-        .is_some_and(|p| p.is_active() && !p.offline)
-}
-
 /// Does active peer `who` need at least one piece `from` can offer?
 /// The single authority on interest: `Simulation::needs` delegates here,
-/// and shard workers call it directly with borrowed arrays.
+/// and shard workers call it directly with borrowed arrays. Liveness is
+/// read from the packed [`HotPeers`] flags (the seeder's slot index is
+/// never spawned, so it reads as offline there).
 pub(crate) fn needs_with(
     peers: &[PeerState],
+    hot: &HotPeers,
     transfers: &TransferTable,
     seeder_bf: &Bitfield,
     seeder_online: bool,
     who: PeerId,
     from: PeerId,
 ) -> bool {
-    if who == from || !is_online_in(peers, who) {
+    if who == from || !hot.is_online(who.index() as usize) {
         return false;
     }
     // A partially transferred piece keeps the pair interested; without
@@ -101,7 +94,7 @@ pub(crate) fn needs_with(
             return false;
         }
         seeder_bf
-    } else if is_online_in(peers, from) {
+    } else if hot.is_online(from.index() as usize) {
         peers[from.index() as usize].offer()
     } else {
         return false;
@@ -120,6 +113,7 @@ pub(crate) fn needs_with(
 /// draw.
 pub(crate) struct ShardCtx<'a> {
     pub peers: &'a [PeerState],
+    pub hot: &'a HotPeers,
     pub adj: &'a [PeerId],
     pub adj_off: &'a [u32],
     pub transfers: &'a TransferTable,
@@ -127,7 +121,7 @@ pub(crate) struct ShardCtx<'a> {
     pub seeder_online: bool,
     pub round_idx: u64,
     pub trusted_reputation: bool,
-    pub trusted_cache: &'a HashMap<PeerId, f64>,
+    pub trusted_cache: &'a FastMap<PeerId, f64>,
     pub reputation: &'a ReputationTable,
     /// Consensus-reputation scores by slot when the population runs the
     /// consensus mechanism; they then override both reputation sources,
@@ -140,6 +134,7 @@ impl ShardCtx<'_> {
     fn needs(&self, who: PeerId, from: PeerId) -> bool {
         needs_with(
             self.peers,
+            self.hot,
             self.transfers,
             self.seeder_bf,
             self.seeder_online,
@@ -149,11 +144,7 @@ impl ShardCtx<'_> {
     }
 
     fn is_active(&self, id: PeerId) -> bool {
-        id != SEEDER_ID
-            && self
-                .peers
-                .get(id.index() as usize)
-                .is_some_and(|p| p.is_active())
+        self.hot.is_active(id.index() as usize)
     }
 }
 

@@ -16,6 +16,7 @@ use coop_telemetry::profile::phase;
 use coop_telemetry::{
     Category, Histogram, PhaseToken, ProfileReport, Profiler, Recorder, TelemetryReport, TraceEvent,
 };
+use coop_incentives::hash::FastMap;
 use coop_incentives::ledger::{ReportedReputation, ReputationTable};
 use coop_incentives::metrics::TimeSeries;
 use coop_incentives::{
@@ -77,7 +78,7 @@ pub struct Simulation {
     expected_compliant: usize,
     reports: ReportedReputation,
     pretrusted: Vec<PeerId>,
-    trusted_cache: std::collections::HashMap<PeerId, f64>,
+    trusted_cache: FastMap<PeerId, f64>,
     /// Flat CSR-style active-neighbor adjacency: peer `i`'s candidate
     /// list is `adj[adj_off[i]..adj_off[i+1]]`. Rebuilt by
     /// [`Self::refresh_candidates`] only when [`Self::adj_dirty`] says a
@@ -244,7 +245,7 @@ impl Simulation {
             expected_compliant,
             reports: ReportedReputation::new(),
             pretrusted: Vec::new(),
-            trusted_cache: std::collections::HashMap::new(),
+            trusted_cache: FastMap::default(),
             adj: Vec::new(),
             adj_off: Vec::new(),
             adj_dirty: true,
@@ -354,13 +355,10 @@ impl Simulation {
     }
 
     /// Whether `id` refers to an active (arrived, not departed) peer.
+    /// Reads the packed [`HotPeers`] flags; the seeder's id never names a
+    /// spawned slot, so it reads as inactive.
     pub fn is_active(&self, id: PeerId) -> bool {
-        if id == SEEDER_ID {
-            return false;
-        }
-        self.peers
-            .get(id.index() as usize)
-            .is_some_and(|p| p.is_active())
+        self.hot.is_active(id.index() as usize)
     }
 
     /// Whether `id` can currently exchange bytes: active *and* not held
@@ -369,12 +367,7 @@ impl Simulation {
     /// every interaction path below uses this without perturbing
     /// fault-free runs.
     pub fn is_online(&self, id: PeerId) -> bool {
-        if id == SEEDER_ID {
-            return false;
-        }
-        self.peers
-            .get(id.index() as usize)
-            .is_some_and(|p| p.is_active() && !p.offline)
+        self.hot.is_online(id.index() as usize)
     }
 
     /// Global reputation of `id` (0 for unknown/departed identities).
@@ -415,6 +408,7 @@ impl Simulation {
     pub fn needs(&self, who: PeerId, from: PeerId) -> bool {
         shard::needs_with(
             &self.peers,
+            &self.hot,
             &self.transfers,
             &self.seeder_bf,
             self.seeder_online,
@@ -739,15 +733,11 @@ impl Simulation {
         }
         peer.neighbors = neighbors;
         // Existing large-view peers connect to every newcomer.
-        let large_viewers: Vec<PeerId> = self
-            .peers
-            .iter()
-            .filter(|p| p.is_active() && p.tags.large_view)
-            .map(|p| p.id)
-            .collect();
-        for lv in large_viewers {
-            peer.neighbors.insert(lv);
-            self.peers[lv.index() as usize].neighbors.insert(id);
+        for i in 0..self.hot.len() {
+            if self.hot.large_view_active(i) {
+                peer.neighbors.insert(PeerId::new(i as u32));
+                self.peers[i].neighbors.insert(id);
+            }
         }
         self.peers.push(peer);
         self.hot.push(&spec.tags, 0);
@@ -761,13 +751,16 @@ impl Simulation {
         self.mark_dirty(id);
     }
 
+    /// Active, unbanned peers in id order, read from the SoA flags: the
+    /// pool that neighbor selection and replenishment draw from.
+    fn selectable_peers(&self) -> impl Iterator<Item = PeerId> + '_ {
+        (0..self.hot.len() as u32)
+            .map(PeerId::new)
+            .filter(|&p| self.hot.is_active(p.index() as usize) && !self.is_banned(p))
+    }
+
     fn choose_neighbors(&self, me: PeerId, large_view: bool) -> BTreeSet<PeerId> {
-        let active: Vec<PeerId> = self
-            .peers
-            .iter()
-            .filter(|p| p.is_active() && p.id != me && !self.is_banned(p.id))
-            .map(|p| p.id)
-            .collect();
+        let active: Vec<PeerId> = self.selectable_peers().filter(|&p| p != me).collect();
         if large_view {
             return active.into_iter().collect();
         }
@@ -807,21 +800,17 @@ impl Simulation {
         let round = self.round_idx;
         let consensus = self.consensus.as_ref();
         let banned = |id: PeerId| consensus.is_some_and(|c| c.is_banned_slot(id.index(), round));
-        let (peers, adj, off) = (&self.peers, &mut self.adj, &mut self.adj_off);
+        let (peers, hot, adj, off) = (&self.peers, &self.hot, &mut self.adj, &mut self.adj_off);
         adj.clear();
         off.clear();
         off.reserve(peers.len() + 1);
         off.push(0);
-        for p in peers {
+        for (i, p) in peers.iter().enumerate() {
             // Banned peers are evicted from the candidate graph in both
             // directions: they serve no one and no one serves them.
-            if p.is_active() && !p.offline && !banned(p.id) {
+            if hot.is_online(i) && !banned(p.id) {
                 adj.extend(p.neighbors.iter().copied().filter(|&n| {
-                    n == SEEDER_ID
-                        || (peers
-                            .get(n.index() as usize)
-                            .is_some_and(|q| q.is_active() && !q.offline)
-                            && !banned(n))
+                    n == SEEDER_ID || (hot.is_online(n.index() as usize) && !banned(n))
                 }));
             }
             off.push(adj.len() as u32);
@@ -2201,13 +2190,12 @@ impl Simulation {
         // (edges are symmetric and pruned eagerly on departure; outages
         // keep the identity alive), so `neighbors.len()` *is* the live
         // count — no per-neighbor liveness probe needed on the fast path.
-        let needy: Vec<u32> = self
-            .peers
-            .iter()
-            .filter(|p| {
-                if !p.is_active() {
+        let needy: Vec<u32> = (0..self.hot.len())
+            .filter(|&i| {
+                if !self.hot.is_active(i) {
                     return false;
                 }
+                let p = &self.peers[i];
                 if self.naive_hotpath {
                     p.neighbors.iter().filter(|&&n| self.is_active(n)).count() < min_degree
                 } else {
@@ -2219,24 +2207,22 @@ impl Simulation {
                     p.neighbors.len() < min_degree
                 }
             })
-            .map(|p| p.id.index())
+            .map(|i| i as u32)
             .collect();
         if needy.is_empty() {
             return;
         }
+        // Every possible partner, collected once: adding edges below
+        // changes neither liveness nor bans.
+        let live: Vec<PeerId> = self.selectable_peers().collect();
         let mut rng = self.round_rng(0xEE);
         for pid in needy {
             let id = PeerId::new(pid);
-            let mut pool: Vec<PeerId> = self
-                .peers
+            let mine = &self.peers[pid as usize].neighbors;
+            let mut pool: Vec<PeerId> = live
                 .iter()
-                .filter(|p| {
-                    p.is_active()
-                        && p.id != id
-                        && !self.is_banned(p.id)
-                        && !self.peer(id).neighbors.contains(&p.id)
-                })
-                .map(|p| p.id)
+                .copied()
+                .filter(|&p| p != id && !mine.contains(&p))
                 .collect();
             pool.shuffle(&mut rng);
             let have = if self.naive_hotpath {
@@ -2280,8 +2266,8 @@ impl Simulation {
         // to the shuffle below is identical for any K.
         let mut candidates: Vec<PeerId> =
             if self.shards > 1 && self.peers.len() >= SHARD_MIN_ITEMS {
-                let (peers, transfers, seeder_bf) =
-                    (&self.peers, &self.transfers, &self.seeder_bf);
+                let (peers, hot, transfers, seeder_bf) =
+                    (&self.peers, &self.hot, &self.transfers, &self.seeder_bf);
                 let seeder_online = self.seeder_online;
                 let consensus = self.consensus.as_ref();
                 let round = self.round_idx;
@@ -2290,23 +2276,23 @@ impl Simulation {
                         .into_iter()
                         .map(|r| {
                             scope.spawn(move || {
-                                peers[r]
-                                    .iter()
-                                    .filter(|p| {
-                                        p.is_active()
+                                (r.start as u32..r.end as u32)
+                                    .map(PeerId::new)
+                                    .filter(|&p| {
+                                        hot.is_active(p.index() as usize)
                                             && !consensus.is_some_and(|c| {
-                                                c.is_banned_slot(p.id.index(), round)
+                                                c.is_banned_slot(p.index(), round)
                                             })
                                             && shard::needs_with(
                                                 peers,
+                                                hot,
                                                 transfers,
                                                 seeder_bf,
                                                 seeder_online,
-                                                p.id,
+                                                p,
                                                 SEEDER_ID,
                                             )
                                     })
-                                    .map(|p| p.id)
                                     .collect()
                             })
                         })
@@ -2318,12 +2304,13 @@ impl Simulation {
                 });
                 parts.concat()
             } else {
-                self.peers
-                    .iter()
-                    .filter(|p| {
-                        p.is_active() && !self.is_banned(p.id) && self.needs(p.id, SEEDER_ID)
+                (0..self.hot.len() as u32)
+                    .map(PeerId::new)
+                    .filter(|&p| {
+                        self.hot.is_active(p.index() as usize)
+                            && !self.is_banned(p)
+                            && self.needs(p, SEEDER_ID)
                     })
-                    .map(|p| p.id)
                     .collect()
             };
         candidates.shuffle(&mut rng);
@@ -2625,6 +2612,7 @@ impl Simulation {
             .collect();
         let ctx = ShardCtx {
             peers: &self.peers,
+            hot: &self.hot,
             adj: &self.adj,
             adj_off: &self.adj_off,
             transfers: &self.transfers,
@@ -2691,6 +2679,7 @@ impl Simulation {
             .collect();
         let ctx = ShardCtx {
             peers: &self.peers,
+            hot: &self.hot,
             adj: &self.adj,
             adj_off: &self.adj_off,
             transfers: &self.transfers,
@@ -2834,8 +2823,11 @@ impl Simulation {
                 events_processed,
                 queue_depth_hwm,
             });
-            // End-of-run state dumps.
-            for (&(from, to), fl) in self.transfers.iter() {
+            // End-of-run state dumps, in `(from, to)` order so sampling
+            // keeps the same events on every run.
+            let mut inflight: Vec<(&(PeerId, PeerId), &InFlight)> = self.transfers.iter().collect();
+            inflight.sort_unstable_by_key(|&(&k, _)| k);
+            for (&(from, to), fl) in inflight {
                 let from_active = from == SEEDER_ID || self.is_active(from);
                 let (piece, bytes_done, piece_len) = (fl.piece, fl.bytes_done, fl.piece_len);
                 let (reason, conditional) = (fl.reason.name(), fl.condition.is_some());

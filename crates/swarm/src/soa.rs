@@ -1,7 +1,8 @@
 //! Struct-of-arrays mirrors of the hot per-round peer fields.
 //!
 //! The round loop's membership scans (allocation order, completion
-//! detection, whitewash/collusion prefilters) touch only a few bits of
+//! detection, whitewash/collusion prefilters, neighbor selection, the
+//! adjacency rebuild, every liveness query) touch only a few bits of
 //! state per peer, but the naive scans stride over the full
 //! [`PeerState`](crate::peer::PeerState) structs — hundreds of bytes per
 //! peer once bitfields, ledgers and neighbor sets are counted. At fig4
@@ -30,6 +31,8 @@ const COLLUSION: u8 = 1 << 3;
 /// granted toward a non-neighbor, so candidate-side dirtiness alone would
 /// miss them); this bit keeps that check off the full `PeerState` structs.
 const OBLIGED: u8 = 1 << 4;
+/// Peer connects to every other active peer (`tags.large_view` set).
+const LARGE_VIEW: u8 = 1 << 5;
 
 /// Hot per-peer round state in struct-of-arrays layout, indexed by peer
 /// slot (`PeerId::index()`).
@@ -52,6 +55,9 @@ impl HotPeers {
         }
         if tags.collusion_ring.is_some() {
             f |= COLLUSION;
+        }
+        if tags.large_view {
+            f |= LARGE_VIEW;
         }
         self.flags.push(f);
         self.have_count.push(have_count);
@@ -86,14 +92,17 @@ impl HotPeers {
         self.have_count[idx]
     }
 
-    /// Mirror of `PeerState::is_active`.
+    /// Mirror of `PeerState::is_active`; false for slots never spawned.
     pub(crate) fn is_active(&self, idx: usize) -> bool {
-        self.flags[idx] & ACTIVE != 0
+        self.flags.get(idx).is_some_and(|&f| f & ACTIVE != 0)
     }
 
-    /// Mirror of `is_active && !offline` (can exchange bytes this round).
+    /// Mirror of `is_active && !offline` (can exchange bytes this round);
+    /// false for slots never spawned.
     pub(crate) fn is_online(&self, idx: usize) -> bool {
-        self.flags[idx] & (ACTIVE | OFFLINE) == ACTIVE
+        self.flags
+            .get(idx)
+            .is_some_and(|&f| f & (ACTIVE | OFFLINE) == ACTIVE)
     }
 
     /// Sets or clears the outstanding-obligations bit (kept in lockstep
@@ -114,6 +123,11 @@ impl HotPeers {
     /// Online slot that whitewashes its identity.
     pub(crate) fn whitewash_online(&self, idx: usize) -> bool {
         self.is_online(idx) && self.flags[idx] & WHITEWASH != 0
+    }
+
+    /// Active slot (online or not) with a large view.
+    pub(crate) fn large_view_active(&self, idx: usize) -> bool {
+        self.is_active(idx) && self.flags[idx] & LARGE_VIEW != 0
     }
 
     /// Online slot that belongs to a collusion ring.
@@ -139,6 +153,10 @@ mod tests {
         assert!(hot.is_active(0) && hot.is_online(0));
         assert!(!hot.whitewash_online(0) && !hot.colluder_online(0));
         assert!(hot.whitewash_online(1));
+        assert!(
+            !hot.is_active(2) && !hot.is_online(2),
+            "unspawned slots are inactive"
+        );
         assert_eq!(hot.have_count(1), 3);
         hot.add_piece(1);
         assert_eq!(hot.have_count(1), 4);
@@ -148,6 +166,25 @@ mod tests {
         assert!(hot.is_online(1));
         hot.retire(0);
         assert!(!hot.is_active(0) && !hot.is_online(0));
+    }
+
+    #[test]
+    fn large_view_bit_follows_activity_not_outages() {
+        let mut hot = HotPeers::default();
+        let lv = PeerTags {
+            large_view: true,
+            ..PeerTags::compliant()
+        };
+        hot.push(&PeerTags::compliant(), 0);
+        hot.push(&lv, 0);
+        assert!(!hot.large_view_active(0) && hot.large_view_active(1));
+        hot.set_offline(1, true);
+        assert!(
+            hot.large_view_active(1),
+            "an outage keeps the identity's edges"
+        );
+        hot.retire(1);
+        assert!(!hot.large_view_active(1));
     }
 
     #[test]

@@ -106,3 +106,50 @@ fn sinks_stream_during_the_run() {
         coop_telemetry::json::parse(&line).expect("sink events render valid JSONL");
     }
 }
+
+/// The end-of-run `InflightAtEnd` dump and the `TransferStalled` events
+/// of a run cut off mid-download, at full sampling rate.
+fn transfer_dumps() -> Vec<TraceEvent> {
+    let mut config = SwarmConfig::tiny_test();
+    config.max_rounds = 12;
+    config.stall_timeout_rounds = 2;
+    let population = flash_crowd(&config, 40, MechanismKind::BitTorrent, 3);
+    let (_, report) = Simulation::builder(config)
+        .population(population)
+        .recorder(Recorder::enabled(TelemetryConfig::default()))
+        .build()
+        .expect("valid setup")
+        .run_traced();
+    report
+        .events
+        .into_iter()
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::InflightAtEnd { .. } | TraceEvent::TransferStalled { .. }
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn transfer_dumps_are_identical_across_runs() {
+    let first = transfer_dumps();
+    let ends: Vec<(u32, u32)> = first
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::InflightAtEnd { from, to, .. } => Some((from, to)),
+            _ => None,
+        })
+        .collect();
+    assert!(ends.len() > 1, "the cut-off run leaves transfers in flight");
+    assert!(
+        ends.windows(2).all(|w| w[0] < w[1]),
+        "InflightAtEnd is dumped in (from, to) order"
+    );
+    assert_eq!(
+        first,
+        transfer_dumps(),
+        "two identical runs traced differently"
+    );
+}
