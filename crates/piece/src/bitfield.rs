@@ -252,16 +252,26 @@ impl Bitfield {
 
     /// Returns true if the two bitfields share at least one set piece —
     /// word-level, so this is the fast path for interest tests on hot
-    /// simulator loops.
+    /// simulator loops. Two dense operands are compared slice against
+    /// slice; a dense operand against a run list visits only the words
+    /// the runs cover (a seeder's single full run is one pass).
     ///
     /// # Panics
     ///
     /// Panics if the bitfields have different lengths.
     pub fn intersects(&self, other: &Bitfield) -> bool {
         self.check_same_len(other);
-        self.word_iter()
-            .zip(other.word_iter())
-            .any(|(a, b)| a & b != 0)
+        match (&self.repr, &other.repr) {
+            (Repr::Dense(a), Repr::Dense(b)) => a.iter().zip(b).any(|(x, y)| x & y != 0),
+            (Repr::Dense(words), Repr::Runs { runs, .. })
+            | (Repr::Runs { runs, .. }, Repr::Dense(words)) => runs
+                .iter()
+                .any(|&(s, e)| Self::run_masks(s, e).any(|(w, mask)| words[w] & mask != 0)),
+            (Repr::Runs { .. }, Repr::Runs { .. }) => self
+                .word_iter()
+                .zip(other.word_iter())
+                .any(|(a, b)| a & b != 0),
+        }
     }
 
     /// Iterates over pieces set in both bitfields, skipping all-zero words.
@@ -387,21 +397,32 @@ impl Bitfield {
         if let Repr::Runs { runs, .. } = &self.repr {
             let mut words = vec![0u64; (self.len as usize).div_ceil(WORD_BITS)];
             for &(start, end) in runs {
-                let (mut s, e) = (start as usize, end as usize);
-                while s < e {
-                    let (w, b) = (s / WORD_BITS, s % WORD_BITS);
-                    let n = (e - s).min(WORD_BITS - b);
-                    let mask = if n == WORD_BITS {
-                        u64::MAX
-                    } else {
-                        ((1u64 << n) - 1) << b
-                    };
+                for (w, mask) in Self::run_masks(start, end) {
                     words[w] |= mask;
-                    s += n;
                 }
             }
             self.repr = Repr::Dense(words);
         }
+    }
+
+    /// The `(word index, bit mask)` pairs covering the run `[start, end)`,
+    /// in word order.
+    fn run_masks(start: u32, end: u32) -> impl Iterator<Item = (usize, u64)> {
+        let (mut s, e) = (start as usize, end as usize);
+        std::iter::from_fn(move || {
+            if s >= e {
+                return None;
+            }
+            let (w, b) = (s / WORD_BITS, s % WORD_BITS);
+            let n = (e - s).min(WORD_BITS - b);
+            let mask = if n == WORD_BITS {
+                u64::MAX
+            } else {
+                ((1u64 << n) - 1) << b
+            };
+            s += n;
+            Some((w, mask))
+        })
     }
 
     /// Expands a word stream into ascending bit indices, applying `f` to
@@ -679,6 +700,24 @@ mod tests {
         b.set(150);
         assert!(a.intersects(&b));
         assert_eq!(a.iter_common(&b).collect::<Vec<_>>(), vec![5, 150]);
+    }
+
+    #[test]
+    fn intersects_dense_against_runs() {
+        // Runs [10, 20) and [120, 200): the dense side is probed only in
+        // the words those runs cover, at their exact bit boundaries.
+        let (_, runs) = dense_and_runs(200, &(10..20).chain(120..200).collect::<Vec<_>>());
+        assert!(runs.is_compressed());
+        let mut probe = Bitfield::new(200);
+        for miss in [9u32, 20, 64, 119] {
+            probe.set(miss);
+        }
+        assert!(!probe.intersects(&runs));
+        assert!(!runs.intersects(&probe));
+        probe.set(127);
+        assert!(probe.intersects(&runs));
+        assert!(runs.intersects(&probe));
+        assert!(!Bitfield::new(200).intersects(&Bitfield::full(200)));
     }
 
     #[test]

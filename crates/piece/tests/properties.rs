@@ -138,6 +138,48 @@ proptest! {
         );
     }
 
+    /// `intersects` agrees with a per-piece oracle for every pairing of
+    /// storage representations: Dense×Dense (the slice fast path),
+    /// Dense×Runs and Runs×Dense (the run-mask path), and Runs×Runs.
+    /// Operands are built from a few intervals so `compress` accepts them.
+    #[test]
+    fn intersects_matches_per_piece_oracle_across_representations(
+        a_runs in proptest::collection::vec((0u32..200, 0u32..70), 0..3),
+        b_runs in proptest::collection::vec((0u32..200, 0u32..70), 0..3),
+        a_extra in proptest::collection::vec(0u32..200, 0..4),
+        b_extra in proptest::collection::vec(0u32..200, 0..4),
+    ) {
+        let build = |runs: &[(u32, u32)], extra: &[u32]| {
+            let mut bf = Bitfield::new(200);
+            for &(start, width) in runs {
+                for i in start..(start + width).min(200) {
+                    bf.set(i);
+                }
+            }
+            for &i in extra {
+                bf.set(i);
+            }
+            let mut compressed = bf.clone();
+            compressed.compress();
+            (bf, compressed)
+        };
+        let (a_dense, a_any) = build(&a_runs, &a_extra);
+        let (b_dense, b_any) = build(&b_runs, &b_extra);
+        let oracle = (0..200).any(|i| a_dense.get(i) && b_dense.get(i));
+        for a in [&a_dense, &a_any] {
+            for b in [&b_dense, &b_any] {
+                prop_assert_eq!(a.intersects(b), oracle);
+                prop_assert_eq!(b.intersects(a), oracle);
+            }
+        }
+        // The full seeder bitfield is a single run: it meets a dense
+        // operand exactly when that operand is non-empty.
+        let full = Bitfield::full(200);
+        prop_assert!(full.is_compressed());
+        prop_assert_eq!(a_dense.intersects(&full), a_dense.count_ones() > 0);
+        prop_assert_eq!(full.intersects(&a_any), a_dense.count_ones() > 0);
+    }
+
     /// Piece lengths always sum to the file size.
     #[test]
     fn file_piece_lengths_sum(size in 1u64..10_000_000, piece in 1u64..100_000) {

@@ -1,21 +1,25 @@
 //! Per-peer simulator state.
 //!
-//! Piece possession is tracked in three synchronized bitfields:
+//! Piece possession is tracked in synchronized bitfields:
 //!
 //! * `have` — usable pieces (count toward completion),
 //! * `locked` — T-Chain encrypted pieces awaiting reciprocation
 //!   (forwardable but not usable),
+//! * `inflight` — pieces some transfer toward this peer is fetching,
 //! * derived caches `offer = have ∪ locked` and
-//!   `absent = ¬(have ∪ locked)` kept incrementally so the simulator's
-//!   interest tests are word-level bit operations.
+//!   `wants = ¬offer \ inflight`, kept incrementally so the interest
+//!   test "does *i* need anything *j* offers" is one word-level AND of
+//!   `wants(i)` with `offer(j)`. `wants` is always dense, so that AND
+//!   runs slice against slice.
 //!
 //! All transitions go through the `acquire_usable` / `lock_piece` /
-//! `unlock_piece` / `discard_locked` methods, which maintain the caches.
+//! `unlock_piece` / `discard_locked` and `inflight_insert` /
+//! `inflight_remove` / `inflight_clear` methods, which maintain the
+//! caches; the bitfields themselves are private.
 
 use std::collections::BTreeSet;
 
 use coop_des::SimTime;
-use coop_incentives::hash::FastSet;
 use coop_incentives::ledger::{ContributionLedger, DeficitLedger};
 use coop_incentives::{Mechanism, Obligation, PeerId};
 use coop_piece::Bitfield;
@@ -52,10 +56,8 @@ pub struct PeerState {
     have: Bitfield,
     locked: Bitfield,
     offer: Bitfield,
-    absent: Bitfield,
-    /// Pieces currently being downloaded (any source), to avoid duplicate
-    /// fetches.
-    pub inflight: FastSet<u32>,
+    wants: Bitfield,
+    inflight: Bitfield,
     /// How many of the in-flight transfers toward this peer are
     /// conditional (will become obligations on delivery).
     pub inflight_conditional: usize,
@@ -101,6 +103,9 @@ impl PeerState {
         num_pieces: u32,
         mechanism: Box<dyn Mechanism>,
     ) -> Self {
+        // Dense all-ones: the words of a full run list OR-ed into zeros.
+        let mut wants = Bitfield::new(num_pieces);
+        wants.union_with(&Bitfield::full(num_pieces));
         PeerState {
             id,
             capacity_bps,
@@ -110,8 +115,8 @@ impl PeerState {
             have: Bitfield::new(num_pieces),
             locked: Bitfield::new(num_pieces),
             offer: Bitfield::new(num_pieces),
-            absent: Bitfield::full(num_pieces),
-            inflight: FastSet::default(),
+            wants,
+            inflight: Bitfield::new(num_pieces),
             inflight_conditional: 0,
             ledger: ContributionLedger::new(),
             deficits: DeficitLedger::new(),
@@ -148,25 +153,42 @@ impl PeerState {
         &self.offer
     }
 
-    /// Pieces this peer neither holds nor holds locked.
-    pub fn absent(&self) -> &Bitfield {
-        &self.absent
+    /// Pieces this peer still wants: neither held, locked, nor being
+    /// fetched. Always dense.
+    pub fn wants(&self) -> &Bitfield {
+        &self.wants
     }
 
-    /// Does this peer need piece `p`? (Absent and not already being
-    /// fetched.)
-    pub fn needs_piece(&self, p: u32) -> bool {
-        self.absent.get(p) && !self.inflight.contains(&p)
+    /// Pieces some transfer toward this peer is currently fetching (any
+    /// source), so they are not requested twice.
+    pub fn inflight(&self) -> &Bitfield {
+        &self.inflight
     }
 
-    /// The bitfield of pieces this peer still wants (absent minus
-    /// in-flight).
-    pub fn wanted(&self) -> Bitfield {
-        let mut bf = self.absent.clone();
-        for &p in &self.inflight {
-            bf.unset(p);
+    /// Records that a transfer of piece `p` toward this peer started.
+    pub fn inflight_insert(&mut self, p: u32) {
+        self.inflight.set(p);
+        self.wants.unset(p);
+    }
+
+    /// Records that the transfer of piece `p` toward this peer ended
+    /// (delivered, lost, stalled or dropped).
+    pub fn inflight_remove(&mut self, p: u32) {
+        self.inflight.unset(p);
+        if !self.offer.get(p) {
+            self.wants.set(p);
         }
-        bf
+    }
+
+    /// Forgets every in-flight piece (all transfers toward this peer were
+    /// dropped); each one that is not held becomes wanted again.
+    pub fn inflight_clear(&mut self) {
+        for p in self.inflight.iter_ones() {
+            if !self.offer.get(p) {
+                self.wants.set(p);
+            }
+        }
+        self.inflight = Bitfield::new(self.inflight.len());
     }
 
     /// Marks piece `p` usable (plain delivery).
@@ -174,7 +196,7 @@ impl PeerState {
         self.have.set(p);
         self.locked.unset(p);
         self.offer.set(p);
-        self.absent.unset(p);
+        self.wants.unset(p);
     }
 
     /// Marks piece `p` locked (encrypted T-Chain delivery).
@@ -182,7 +204,7 @@ impl PeerState {
         debug_assert!(!self.have.get(p), "locking an already-usable piece");
         self.locked.set(p);
         self.offer.set(p);
-        self.absent.unset(p);
+        self.wants.unset(p);
     }
 
     /// Promotes a locked piece to usable (key released). Returns false if
@@ -205,7 +227,9 @@ impl PeerState {
         self.locked.unset(p);
         if !self.have.get(p) {
             self.offer.unset(p);
-            self.absent.set(p);
+            if !self.inflight.get(p) {
+                self.wants.set(p);
+            }
         }
         true
     }
@@ -230,13 +254,15 @@ impl PeerState {
     /// Folds each possession bitfield into its interval-run representation
     /// where that is strictly smaller (departed identities are typically
     /// complete, so `have`/`offer` collapse to a single run and
-    /// `locked`/`absent` to none). Observationally a no-op: every
+    /// `locked`/`inflight` to none). Observationally a no-op: every
     /// [`Bitfield`] query answers identically in either representation.
+    /// `wants` stays dense, so the interest kernel never meets a run list
+    /// on the downloader side.
     pub(crate) fn compress_storage(&mut self) {
         self.have.compress();
         self.locked.compress();
         self.offer.compress();
-        self.absent.compress();
+        self.inflight.compress();
     }
 }
 
@@ -256,6 +282,7 @@ impl std::fmt::Debug for PeerState {
 mod tests {
     use super::*;
     use coop_incentives::{build_mechanism, MechanismKind, MechanismParams};
+    use proptest::prelude::*;
 
     fn peer(num_pieces: u32) -> PeerState {
         PeerState::new(
@@ -269,13 +296,21 @@ mod tests {
         )
     }
 
+    /// Checks every cache against its definition, piece by piece, and
+    /// that `wants` is dense.
     fn invariants(p: &PeerState) {
+        assert!(!p.wants().is_compressed(), "wants must stay dense");
         for i in 0..p.have().len() {
             let have = p.have().get(i);
             let locked = p.locked().get(i);
+            let absent = !(have || locked);
             assert!(!(have && locked), "piece {i} both usable and locked");
             assert_eq!(p.offer().get(i), have || locked, "offer cache at {i}");
-            assert_eq!(p.absent().get(i), !(have || locked), "absent cache at {i}");
+            assert_eq!(
+                p.wants().get(i),
+                absent && !p.inflight().get(i),
+                "wants cache at {i}"
+            );
         }
     }
 
@@ -285,10 +320,7 @@ mod tests {
         assert!(p.is_active());
         assert!(!p.is_complete());
         assert_eq!(p.piece_count(), 0);
-        for i in 0..8 {
-            assert!(p.needs_piece(i));
-        }
-        assert_eq!(p.wanted().count_ones(), 8);
+        assert_eq!(p.wants().count_ones(), 8);
         invariants(&p);
     }
 
@@ -297,7 +329,7 @@ mod tests {
         let mut p = peer(8);
         p.lock_piece(3);
         invariants(&p);
-        assert!(!p.needs_piece(3));
+        assert!(!p.wants().get(3));
         assert!(p.offer().get(3));
         assert_eq!(p.piece_count(), 0);
         assert!(p.unlock_piece(3));
@@ -312,7 +344,7 @@ mod tests {
         p.lock_piece(2);
         assert!(p.discard_locked(2));
         invariants(&p);
-        assert!(p.needs_piece(2), "discarded piece becomes wanted again");
+        assert!(p.wants().get(2), "discarded piece becomes wanted again");
         assert!(!p.discard_locked(2));
     }
 
@@ -329,9 +361,15 @@ mod tests {
     #[test]
     fn inflight_pieces_not_requested_twice() {
         let mut p = peer(8);
-        p.inflight.insert(2);
-        assert!(!p.needs_piece(2));
-        assert!(!p.wanted().get(2));
+        p.inflight_insert(2);
+        assert!(!p.wants().get(2));
+        invariants(&p);
+        p.inflight_remove(2);
+        assert!(
+            p.wants().get(2),
+            "an ended transfer makes the piece wanted again"
+        );
+        invariants(&p);
     }
 
     #[test]
@@ -354,5 +392,43 @@ mod tests {
         p.record_bootstrap(SimTime::from_secs(5));
         p.record_bootstrap(SimTime::from_secs(9));
         assert_eq!(p.bootstrap_time, Some(SimTime::from_secs(5)));
+    }
+
+    proptest! {
+        /// Under any interleaving of piece transitions, in-flight
+        /// bookkeeping and storage compression, `wants` equals
+        /// `absent \ inflight` with `absent = ¬(have ∪ locked)`, and
+        /// stays dense. 130 pieces span three words, one partial.
+        #[test]
+        fn wants_tracks_absent_minus_inflight(
+            ops in proptest::collection::vec((0u8..8, 0u32..130), 0..120),
+        ) {
+            let mut p = peer(130);
+            for (op, i) in ops {
+                match op {
+                    0 => p.acquire_usable(i),
+                    1 => {
+                        if !p.have().get(i) {
+                            p.lock_piece(i);
+                        }
+                    }
+                    2 => {
+                        p.unlock_piece(i);
+                    }
+                    3 => {
+                        p.discard_locked(i);
+                    }
+                    4 => p.inflight_insert(i),
+                    5 => p.inflight_remove(i),
+                    6 => p.inflight_clear(),
+                    _ => p.compress_storage(),
+                }
+                prop_assert!(!p.wants().is_compressed());
+                for k in 0..130 {
+                    let absent = !(p.have().get(k) || p.locked().get(k));
+                    prop_assert_eq!(p.wants().get(k), absent && !p.inflight().get(k));
+                }
+            }
+        }
     }
 }

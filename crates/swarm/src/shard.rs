@@ -70,6 +70,9 @@ pub(crate) fn candidates_of<'a>(adj: &'a [PeerId], adj_off: &[u32], id: u32) -> 
 /// and shard workers call it directly with borrowed arrays. Liveness is
 /// read from the packed [`HotPeers`] flags (the seeder's slot index is
 /// never spawned, so it reads as offline there).
+///
+/// The word-level AND of `who`'s dense `wants` with the uploader's offer
+/// runs first; the transfer-table probe only answers when it fails.
 pub(crate) fn needs_with(
     peers: &[PeerState],
     hot: &HotPeers,
@@ -82,29 +85,19 @@ pub(crate) fn needs_with(
     if who == from || !hot.is_online(who.index() as usize) {
         return false;
     }
-    // A partially transferred piece keeps the pair interested; without
-    // this, the uploader would never re-select the target and the
-    // transfer could stall one piece short of completion.
-    if transfers.get(from, who).is_some() {
-        return true;
-    }
-    let w = &peers[who.index() as usize];
     let offer = if from == SEEDER_ID {
-        if !seeder_online {
-            return false;
-        }
-        seeder_bf
+        seeder_online.then_some(seeder_bf)
     } else if hot.is_online(from.index() as usize) {
-        peers[from.index() as usize].offer()
+        Some(peers[from.index() as usize].offer())
     } else {
-        return false;
+        None
     };
-    if !w.absent().intersects(offer) {
-        return false;
-    }
-    w.absent()
-        .iter_common(offer)
-        .any(|p| !w.inflight.contains(&p))
+    let wants = peers[who.index() as usize].wants();
+    // A partially transferred piece keeps the pair interested, even while
+    // the uploader is offline; without this, the uploader would never
+    // re-select the target and the transfer could stall one piece short
+    // of completion.
+    offer.is_some_and(|offer| wants.intersects(offer)) || transfers.get(from, who).is_some()
 }
 
 /// The plain-data slice of simulation state a shard worker needs to
@@ -248,7 +241,111 @@ impl SwarmView for ShardView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PeerTags;
+    use crate::transfer::InFlight;
+    use coop_des::SimTime;
+    use coop_incentives::{build_mechanism, GrantReason, MechanismKind, MechanismParams};
     use proptest::prelude::*;
+
+    const PIECES: u32 = 70;
+
+    fn peer(id: u32) -> PeerState {
+        PeerState::new(
+            PeerId::new(id),
+            1000.0,
+            PeerTags::compliant(),
+            SimTime::ZERO,
+            0,
+            PIECES,
+            build_mechanism(MechanismKind::Altruism, MechanismParams::default()),
+        )
+    }
+
+    fn start(transfers: &mut TransferTable, from: PeerId, to: PeerId, piece: u32) {
+        transfers.start(
+            from,
+            to,
+            InFlight {
+                piece,
+                piece_len: 10,
+                bytes_done: 0,
+                condition: None,
+                reason: GrantReason::Altruism,
+                last_progress_round: 0,
+            },
+        );
+    }
+
+    /// The interest rule written out piece by piece from its definition,
+    /// with no `wants` cache: an open `from → who` transfer, or a piece
+    /// the online uploader offers that `who` neither holds, holds locked,
+    /// nor is fetching.
+    fn reference(
+        peers: &[PeerState],
+        hot: &HotPeers,
+        transfers: &TransferTable,
+        seeder_online: bool,
+        who: PeerId,
+        from: PeerId,
+    ) -> bool {
+        let online = |id: PeerId| hot.is_online(id.index() as usize);
+        if who == from || !online(who) {
+            return false;
+        }
+        if transfers.get(from, who).is_some() {
+            return true;
+        }
+        let uploader_online = if from == SEEDER_ID {
+            seeder_online
+        } else {
+            online(from)
+        };
+        let w = &peers[who.index() as usize];
+        uploader_online
+            && (0..PIECES).any(|p| {
+                let offered = from == SEEDER_ID || peers[from.index() as usize].offer().get(p);
+                offered && !w.have().get(p) && !w.locked().get(p) && !w.inflight().get(p)
+            })
+    }
+
+    #[test]
+    fn open_transfer_keeps_interest_while_the_uploader_is_offline() {
+        let seeder_bf = Bitfield::full(PIECES);
+        let mut peers = vec![peer(0), peer(1)];
+        let mut hot = HotPeers::default();
+        hot.push(&PeerTags::compliant(), 0);
+        hot.push(&PeerTags::compliant(), 0);
+        peers[0].acquire_usable(5);
+        let (up, down) = (PeerId::new(0), PeerId::new(1));
+        let mut transfers = TransferTable::new();
+        peers[1].inflight_insert(5);
+        start(&mut transfers, up, down, 5);
+        let needs = |peers: &[PeerState], hot: &HotPeers, t: &TransferTable| {
+            needs_with(peers, hot, t, &seeder_bf, true, down, up)
+        };
+        // The only piece the uploader offers is already in flight: the
+        // word AND finds nothing, the open transfer still answers yes.
+        assert!(!peers[1].wants().intersects(peers[0].offer()));
+        assert!(needs(&peers, &hot, &transfers));
+        hot.set_offline(0, true);
+        assert!(
+            needs(&peers, &hot, &transfers),
+            "offline uploader, open transfer"
+        );
+        assert_eq!(
+            needs(&peers, &hot, &transfers),
+            reference(&peers, &hot, &transfers, true, down, up)
+        );
+        // Without the transfer an offline uploader offers nothing.
+        let empty = TransferTable::new();
+        peers[1].inflight_remove(5);
+        assert!(!needs(&peers, &hot, &empty));
+        hot.set_offline(0, false);
+        assert!(needs(&peers, &hot, &empty));
+        // An offline downloader needs nothing, transfer or not.
+        hot.set_offline(1, true);
+        assert!(!needs(&peers, &hot, &transfers));
+    }
 
     #[test]
     fn ranges_are_balanced() {
@@ -285,6 +382,68 @@ mod tests {
             }
             prop_assert_eq!(expect_start, len, "ranges must cover to len");
             prop_assert!(max_len - min_len <= 1, "ranges must be balanced");
+        }
+
+        /// Over random swarms — pieces held, locked or in flight, peers
+        /// online, offline or departed, random open transfers, seeder on
+        /// or off — the word-level kernel answers every ordered pair
+        /// (seeder included) exactly as the per-piece reference does.
+        #[test]
+        fn needs_with_matches_the_per_piece_reference(
+            states in proptest::collection::vec(
+                proptest::collection::vec((0u8..5, 0u32..PIECES), 0..40),
+                4,
+            ),
+            liveness in proptest::collection::vec(0u8..3, 4),
+            pairs in proptest::collection::vec((0u32..5, 0u32..4, 0u32..PIECES), 0..6),
+            seeder_online in any::<bool>(),
+        ) {
+            let seeder_bf = Bitfield::full(PIECES);
+            let mut peers: Vec<PeerState> = (0..4).map(peer).collect();
+            let mut hot = HotPeers::default();
+            for (i, ops) in states.iter().enumerate() {
+                hot.push(&PeerTags::compliant(), 0);
+                let p = &mut peers[i];
+                for &(op, piece) in ops {
+                    match op {
+                        0 => p.acquire_usable(piece),
+                        1 => {
+                            if !p.have().get(piece) {
+                                p.lock_piece(piece);
+                            }
+                        }
+                        2 => {
+                            p.discard_locked(piece);
+                        }
+                        3 => p.inflight_insert(piece),
+                        _ => p.inflight_remove(piece),
+                    }
+                }
+                match liveness[i] {
+                    1 => hot.set_offline(i, true),
+                    2 => hot.retire(i),
+                    _ => {}
+                }
+            }
+            let mut transfers = TransferTable::new();
+            for &(from, to, piece) in &pairs {
+                // Uploader index 4 stands for the seeder.
+                let from = if from == 4 { SEEDER_ID } else { PeerId::new(from) };
+                let to = PeerId::new(to);
+                if from != to && transfers.get(from, to).is_none() {
+                    start(&mut transfers, from, to, piece);
+                }
+            }
+            let ids: Vec<PeerId> = (0..4).map(PeerId::new).chain([SEEDER_ID]).collect();
+            for &who in &ids[..4] {
+                for &from in &ids {
+                    prop_assert_eq!(
+                        needs_with(&peers, &hot, &transfers, &seeder_bf, seeder_online, who, from),
+                        reference(&peers, &hot, &transfers, seeder_online, who, from),
+                        "who {:?} from {:?}", who, from
+                    );
+                }
+            }
         }
     }
 }

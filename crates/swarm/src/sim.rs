@@ -404,8 +404,13 @@ impl Simulation {
 
     /// Does active peer `who` need at least one piece `from` can offer?
     /// (Delegates to [`shard::needs_with`], the single authority shared
-    /// with the shard workers.)
+    /// with the shard workers; the naive path answers with
+    /// `needs_per_piece` instead, so the equivalence battery checks the
+    /// word-level kernel against code it does not share.)
     pub fn needs(&self, who: PeerId, from: PeerId) -> bool {
+        if self.naive_hotpath {
+            return self.needs_per_piece(who, from);
+        }
         shard::needs_with(
             &self.peers,
             &self.hot,
@@ -415,6 +420,39 @@ impl Simulation {
             who,
             from,
         )
+    }
+
+    /// The interest test written out piece by piece, without the `wants`
+    /// cache: an open `from → who` transfer first, then any piece the
+    /// uploader offers that `who` neither holds, holds locked, nor is
+    /// already fetching. Liveness comes from the peer structs, not the
+    /// packed flags.
+    fn needs_per_piece(&self, who: PeerId, from: PeerId) -> bool {
+        let online = |id: PeerId| {
+            self.peers
+                .get(id.index() as usize)
+                .is_some_and(|p| p.is_active() && !p.offline)
+        };
+        if who == from || !online(who) {
+            return false;
+        }
+        if self.transfers.get(from, who).is_some() {
+            return true;
+        }
+        let offer = if from == SEEDER_ID {
+            if !self.seeder_online {
+                return false;
+            }
+            &self.seeder_bf
+        } else if online(from) {
+            self.peer(from).offer()
+        } else {
+            return false;
+        };
+        let w = self.peer(who);
+        offer
+            .iter_ones()
+            .any(|p| !w.offer().get(p) && !w.inflight().get(p))
     }
 
     /// Runs the simulation to completion (all compliant peers finished or
@@ -1249,18 +1287,12 @@ impl Simulation {
         let mut started_new = false;
         let mut effective_reason = reason;
         while left > 0 {
-            if self.transfers.get(from, to).is_some() {
-                let remaining = self
-                    .transfers
-                    .get(from, to)
-                    .expect("just checked")
-                    .remaining();
+            if let Some((remaining, reason)) = self
+                .transfers
+                .get(from, to)
+                .map(|fl| (fl.remaining(), fl.reason))
+            {
                 let step = left.min(remaining);
-                let reason = self
-                    .transfers
-                    .get(from, to)
-                    .expect("just checked")
-                    .reason;
                 effective_reason = reason;
                 self.account_bytes(from, to, step);
                 self.totals.bytes_by_reason[reason.index()] += step;
@@ -1304,7 +1336,7 @@ impl Simulation {
             let Some((piece, len)) = picked else {
                 break;
             };
-            self.peers[to.index() as usize].inflight.insert(piece);
+            self.peers[to.index() as usize].inflight_insert(piece);
             if condition.is_some() {
                 self.peers[to.index() as usize].inflight_conditional += 1;
             }
@@ -1364,9 +1396,7 @@ impl Simulation {
         // selections within a round allocate nothing.
         let mut held = std::mem::replace(&mut self.scratch_held, Bitfield::new(0));
         held.copy_from(self.peer(to).offer());
-        for &p in &self.peer(to).inflight {
-            held.set(p);
-        }
+        held.union_with(self.peer(to).inflight());
         let mut ties = std::mem::take(&mut self.scratch_ties);
         let offer = if from == SEEDER_ID {
             &self.seeder_bf
@@ -1474,7 +1504,7 @@ impl Simulation {
         // the receiver's absent and inflight sets together, so no other
         // uploader's interest toward the receiver flips on either.
         self.mark_dirty(to);
-        self.peers[to_idx].inflight.remove(&piece);
+        self.peers[to_idx].inflight_remove(piece);
         if done.condition.is_some() {
             self.peers[to_idx].inflight_conditional =
                 self.peers[to_idx].inflight_conditional.saturating_sub(1);
@@ -1620,7 +1650,7 @@ impl Simulation {
                 continue;
             }
             if let Some(p) = self.peers.get_mut(to.index() as usize) {
-                p.inflight.remove(&fl.piece);
+                p.inflight_remove(fl.piece);
                 if fl.condition.is_some() {
                     p.inflight_conditional = p.inflight_conditional.saturating_sub(1);
                 }
@@ -1738,7 +1768,7 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(id);
         for ((_, t), fl) in dropped {
             if t != id && t != SEEDER_ID {
-                self.peers[t.index() as usize].inflight.remove(&fl.piece);
+                self.peers[t.index() as usize].inflight_remove(fl.piece);
                 if fl.condition.is_some() {
                     self.peers[t.index() as usize].inflight_conditional = self.peers
                         [t.index() as usize]
@@ -1758,7 +1788,7 @@ impl Simulation {
         }
         self.availability.remove_peer(self.peers[idx].have());
         self.peers[idx].departure = Some(why);
-        self.peers[idx].inflight.clear();
+        self.peers[idx].inflight_clear();
         self.peers[idx].inflight_conditional = 0;
         self.hot.retire(idx);
         self.adj_dirty = true;
@@ -1867,7 +1897,7 @@ impl Simulation {
         for ((_, t), fl) in dropped {
             if t != SEEDER_ID {
                 let p = &mut self.peers[t.index() as usize];
-                p.inflight.remove(&fl.piece);
+                p.inflight_remove(fl.piece);
                 if fl.condition.is_some() {
                     p.inflight_conditional = p.inflight_conditional.saturating_sub(1);
                 }
@@ -1886,7 +1916,7 @@ impl Simulation {
         for ((_, t), fl) in dropped {
             if t != id && t != SEEDER_ID {
                 let p = &mut self.peers[t.index() as usize];
-                p.inflight.remove(&fl.piece);
+                p.inflight_remove(fl.piece);
                 if fl.condition.is_some() {
                     p.inflight_conditional = p.inflight_conditional.saturating_sub(1);
                 }
@@ -1896,7 +1926,7 @@ impl Simulation {
         let idx = id.index() as usize;
         self.availability.remove_peer(self.peers[idx].have());
         self.peers[idx].offline = true;
-        self.peers[idx].inflight.clear();
+        self.peers[idx].inflight_clear();
         self.peers[idx].inflight_conditional = 0;
         self.hot.set_offline(idx, true);
         self.adj_dirty = true;
@@ -1945,7 +1975,7 @@ impl Simulation {
         // interest in this receiver.
         self.mark_dirty(to);
         let r = &mut self.peers[to_idx];
-        r.inflight.remove(&done.piece);
+        r.inflight_remove(done.piece);
         if done.condition.is_some() {
             r.inflight_conditional = r.inflight_conditional.saturating_sub(1);
         }
@@ -1978,16 +2008,17 @@ impl Simulation {
         }
         let mut sources = Bitfield::new(self.config.file.num_pieces());
         for p in self.peers.iter().filter(|p| p.is_active()) {
-            for piece in p.offer().iter_ones() {
-                sources.set(piece);
-            }
+            sources.union_with(p.offer());
         }
-        self.peers.iter().any(|p| {
-            p.is_active()
-                && (p.tags.compliant || p.tags.whitewash_interval.is_some())
-                && !p.is_complete()
-                && p.absent().iter_ones().any(|piece| !sources.get(piece))
-        })
+        // Every active peer's own offer is part of `sources`, so the
+        // pieces it lacks that no source offers, `¬offer ∧ ¬sources`, are
+        // exactly the pieces missing from `sources`: one word-level test
+        // answers for every peer.
+        !sources.is_complete()
+            && self
+                .peers
+                .iter()
+                .any(|p| p.is_active() && (p.tags.compliant || p.tags.whitewash_interval.is_some()))
     }
 
     fn whitewash_pass(&mut self, now: SimTime) {
@@ -2053,7 +2084,7 @@ impl Simulation {
         let dropped = self.transfers.drop_peer(old);
         for ((_, t), fl) in dropped {
             if t != SEEDER_ID {
-                self.peers[t.index() as usize].inflight.remove(&fl.piece);
+                self.peers[t.index() as usize].inflight_remove(fl.piece);
                 if fl.condition.is_some() {
                     self.peers[t.index() as usize].inflight_conditional = self.peers
                         [t.index() as usize]
@@ -2069,7 +2100,7 @@ impl Simulation {
         for n in neighbors {
             self.peers[n.index() as usize].neighbors.remove(&old);
         }
-        self.peers[old_idx].inflight.clear();
+        self.peers[old_idx].inflight_clear();
         self.peers[old_idx].inflight_conditional = 0;
         self.peers[old_idx].departure = Some(Departure::Whitewashed(now));
         self.availability.remove_peer(self.peers[old_idx].have());
@@ -2850,7 +2881,7 @@ impl Simulation {
                 );
                 let (obligations, inflight, neighbors) = (
                     p.obligations.len() as u64,
-                    p.inflight.len() as u64,
+                    u64::from(p.inflight().count_ones()),
                     p.neighbors.len() as u64,
                 );
                 // The interested-in-me census is an O(N) scan per peer —
